@@ -26,7 +26,6 @@ from repro.engine import EngineOptions, evaluate
 from repro.engine.topdown import evaluate_topdown
 from repro.rewriting import magic_sets
 
-import bench_columnar as col
 import bench_durability as dur
 import bench_example2_cut as e2
 import bench_example3_projection as e3
@@ -369,130 +368,6 @@ def report_engine() -> None:
         rows,
     )
     print(f"(wrote {ENGINE_JSON.name})")
-
-
-#: machine-readable columnar ablation, regenerated by report_columnar()
-#: and committed so future data-plane PRs have a baseline to diff against
-COLUMNAR_JSON = Path(__file__).parent / "BENCH_columnar.json"
-
-#: the full ladder × index-mode matrix, run at sizes where even the
-#: interpreter's no-index full scans finish promptly
-COLUMNAR_ABLATION = {
-    "interpreter": {"use_kernels": False, "use_columnar": False},
-    "tuple-kernel": {"use_columnar": False},
-    "columnar": {},
-    "interpreter-noindex": {
-        "use_kernels": False,
-        "use_columnar": False,
-        "use_indexes": False,
-    },
-    "tuple-kernel-noindex": {"use_columnar": False, "use_indexes": False},
-    "columnar-noindex": {"use_indexes": False},
-}
-
-#: the headline comparison — columnar vs the tuple kernels it replaces
-#: — at sizes where the frontier is wide enough to matter
-COLUMNAR_SPEEDUP = {
-    "tuple-kernel": {"use_columnar": False},
-    "columnar": {},
-}
-
-
-def _columnar_families():
-    tc = parse(col.TC_PROGRAM)
-    sib = parse(col.SIBLING_PROGRAM)
-    return {
-        "tc-chain-V160": (tc, lambda: col.tc_db(160), COLUMNAR_ABLATION),
-        "sibling-V100": (sib, lambda: col.sibling_db(100), COLUMNAR_ABLATION),
-        "tc-chain-V1600": (tc, lambda: col.tc_db(1600), COLUMNAR_SPEEDUP),
-        "sibling-V1200": (sib, lambda: col.sibling_db(1200), COLUMNAR_SPEEDUP),
-    }
-
-
-def _columnar_timed(fn):
-    """Best of two measured runs after one warm-up: the speedup claim
-    should not hinge on a single wall-clock sample."""
-    ms1, res = timed(fn)
-    t0 = time.perf_counter()
-    fn()
-    ms2 = (time.perf_counter() - t0) * 1000.0
-    return min(ms1, ms2), res
-
-
-def report_columnar() -> None:
-    """Columnar / tuple-kernel / interpreter ablation across both index
-    modes; writes BENCH_columnar.json.
-
-    Every configuration of a family must reach the same fixpoint (the
-    shared fact-count regression gate), and the large indexed families
-    record the columnar-vs-tuple speedup the data plane exists for,
-    summarized as a median so one noisy family cannot skew the
-    headline number.
-    """
-    payload = {
-        "_meta": {
-            "configs": {
-                name: (overrides or "engine defaults")
-                for name, overrides in COLUMNAR_ABLATION.items()
-            },
-            "note": "wall-clock is one warmed run on this machine; the "
-            "work counters are deterministic and the quantities to "
-            "diff across PRs; *-V160/V100 run the full ladder x index "
-            "matrix, the large families record the columnar speedup",
-        }
-    }
-    baseline = load_baseline(COLUMNAR_JSON)
-    rows = []
-    headline = []
-    for family, (program, make_db, configs) in _columnar_families().items():
-        payload[family] = {}
-        fact_counts = {}
-        times = {}
-        for config, overrides in configs.items():
-            db = make_db()  # fresh (cold) database per configuration
-            opts = EngineOptions(**overrides)
-            ms, res = _columnar_timed(
-                lambda p=program, d=db, o=opts: evaluate(p, d, o)
-            )
-            times[config] = ms
-            fact_counts[config] = res.stats.facts_derived
-            payload[family][config] = {
-                "wall_ms": round(ms, 3),
-                **res.stats.as_dict(),
-            }
-            check_against_baseline(
-                "columnar", baseline, family, config, res.stats.facts_derived
-            )
-            rows.append([family, config, fmt(ms), res.stats.facts_derived,
-                         res.stats.batch_probes, res.stats.columnar_fallbacks])
-        for config in configs:
-            if config != "columnar":
-                check_no_extra_facts(
-                    "columnar", f"columnar vs {config} on {family}",
-                    fact_counts["columnar"], fact_counts[config],
-                )
-        speedup = times["tuple-kernel"] / max(times["columnar"], 1e-9)
-        payload[family]["columnar_speedup_vs_tuple"] = round(speedup, 2)
-        if configs is COLUMNAR_SPEEDUP:
-            headline.append(speedup)
-        rows.append([family, "=> columnar speedup", f"x{speedup:.1f}", "", "", ""])
-    headline.sort()
-    median = (
-        headline[len(headline) // 2]
-        if len(headline) % 2
-        else (headline[len(headline) // 2 - 1] + headline[len(headline) // 2]) / 2
-    )
-    payload["_meta"]["median_speedup_vs_tuple"] = round(median, 2)
-    with open(COLUMNAR_JSON, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
-    table(
-        "COLUMNAR — batch data plane vs tuple kernels vs interpreter",
-        ["family", "config", "time", "facts", "batch probes", "fallbacks"],
-        rows,
-    )
-    print(f"(median speedup vs tuple kernels: x{median:.2f})")
-    print(f"(wrote {COLUMNAR_JSON.name})")
 
 
 #: machine-readable scheduler ablation, regenerated by report_scheduler()
@@ -1140,7 +1015,6 @@ REPORTS = {
     "td": report_td,
     "ix": report_ix,
     "engine": report_engine,
-    "columnar": report_columnar,
     "planner": report_planner,
     "scheduler": report_scheduler,
     "governor": report_governor,

@@ -414,7 +414,7 @@ def analyze_program(
 
     *db* (when given) seeds every domain from the stored EDB — sorts
     from the actual constants, cardinality sketches **measured** from
-    the columnar degree profiles.  *sketches* pre-seeds the
+    the relations' degree profiles.  *sketches* pre-seeds the
     cardinality domain (e.g. loaded from a persisted profile file) and
     wins over both the database and the synthetic defaults.
     """

@@ -58,13 +58,20 @@ class CodeInfo:
     summary: str
     #: the paper result the check is grounded in ("" when purely practical)
     paper: str = ""
+    #: a retired code is never emitted; it stays registered so the
+    #: code is never reused for a different finding
+    retired: bool = False
 
 
-def _info(code: str, name: str, severity: Severity, summary: str, paper: str = "") -> CodeInfo:
-    return CodeInfo(code, name, severity, summary, paper)
+def _info(
+    code: str, name: str, severity: Severity, summary: str, paper: str = "",
+    retired: bool = False,
+) -> CodeInfo:
+    return CodeInfo(code, name, severity, summary, paper, retired)
 
 
-#: Every diagnostic code the analyzer can emit, in code order.
+#: Every diagnostic code the analyzer has ever emitted, in code order
+#: (retired codes included, so no code number is ever reused).
 CODES: dict[str, CodeInfo] = {
     c.code: c
     for c in (
@@ -157,11 +164,10 @@ CODES: dict[str, CodeInfo] = {
         ),
         _info(
             "DL016", "dictionary-overhead", Severity.WARNING,
-            "a boolean (zero-arity) query over a program whose constant "
-            "universe exceeds the dictionary threshold: the columnar "
-            "plane interns every constant to produce a one-bit answer, "
-            "so encoding overhead dominates on small EDBs",
-            "section 3.1 boolean rules; engine --no-columnar",
+            "retired, never emitted: warned that a boolean query over "
+            "many constants paid interning cost on the columnar tier, "
+            "which no longer exists",
+            retired=True,
         ),
         _info(
             "DL017", "bound-blowup", Severity.WARNING,

@@ -12,7 +12,7 @@ each a small lattice with a monotone rule transfer function:
 - :class:`CardinalityDomain` — :class:`DegreeSketch` values: a
   relation's log-bucketed size plus, per position, the log-bucketed
   **max degree** (most rows any one value matches there).  EDB sketches
-  are *measured* from the columnar dictionary/posting structures
+  are *measured* from the stored rows and hash indexes
   (:meth:`repro.datalog.database.Relation.degree_profile`); IDB
   sketches are propagated through rule bodies with the Lemma 3.1
   existential-component drop, exactly the arithmetic of

@@ -382,46 +382,6 @@ def _check_facts(program: Program, diags: list) -> None:
             )
 
 
-#: distinct in-program constants above which the columnar dictionary's
-#: interning work cannot amortize over a boolean query's one-bit answer
-DICTIONARY_OVERHEAD_THRESHOLD = 16
-
-
-def _check_dictionary_overhead(program: Program, diags: list) -> None:
-    """DL016 — boolean query over a large in-program constant universe.
-
-    A zero-arity query produces at most one fact, so every constant the
-    columnar plane interns is pure overhead unless the EDB re-uses it
-    heavily; with many distinct constants written into the rules
-    themselves, the dictionary is guaranteed to be large before the
-    first batch probe runs.
-    """
-    query = program.query
-    if query is None or query.arity != 0:
-        return
-    consts = {
-        c.value
-        for rule in program.rules
-        for atom in (rule.head, *rule.body, *rule.negative)
-        for c in atom.constants()
-    }
-    if len(consts) <= DICTIONARY_OVERHEAD_THRESHOLD:
-        return
-    diags.append(
-        _diag(
-            "DL016",
-            f"boolean query {query} over {len(consts)} distinct "
-            f"in-program constants (threshold "
-            f"{DICTIONARY_OVERHEAD_THRESHOLD}): dictionary encoding "
-            f"cannot amortize over a one-bit answer",
-            predicate=query.predicate,
-            span=query.span,
-            hint="run with --no-columnar, or move the constants into "
-            "EDB facts so only live values are interned",
-        )
-    )
-
-
 def _check_adornment_opportunities(program: Program, diags: list) -> None:
     """DL010 / DL011 — what the adornment algorithm and the component
     split will find (Lemma 2.2 / Lemma 3.1)."""
@@ -663,7 +623,6 @@ def lint_program(
     _check_query(program, edb_set, diags)
     _check_undefined_predicates(program, edb_set, diags)
     _check_facts(program, diags)
-    _check_dictionary_overhead(program, diags)
     if not any(d.severity is Severity.ERROR for d in diags):
         # optimization-opportunity lints need a program the pipeline
         # accepts; with errors present the story is already told above

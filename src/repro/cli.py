@@ -104,7 +104,6 @@ def _engine_kwargs(args) -> dict:
     engine = dict(
         use_indexes=not args.no_index,
         use_kernels=not args.no_kernel,
-        use_columnar=not args.no_columnar,
         use_cost_planner=not args.no_cost_planner,
         replan_rounds=args.replan_rounds,
         use_scc=not args.no_scc,
@@ -475,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="make the session durable: write-ahead-log every accepted "
-        "batch to PATH and keep columnar snapshots next to it; if PATH "
+        "batch to PATH and keep snapshots next to it; if PATH "
         "already exists the session is recovered from it on startup "
         "(the facts file is ignored then)",
     )
@@ -608,14 +607,6 @@ def _add_engine_flags(p_run: argparse.ArgumentParser) -> None:
         "and work counters are identical, only wall-clock differs)",
     )
     p_run.add_argument(
-        "--no-columnar",
-        action="store_true",
-        help="evaluate rule bodies on the per-tuple kernels instead of "
-        "the dictionary-encoded batch kernels (the columnar plane's "
-        "differential oracle; answers and work counters are identical, "
-        "only wall-clock differs)",
-    )
-    p_run.add_argument(
         "--no-cost-planner",
         action="store_true",
         help="order joins with the size-greedy heuristic instead of the "
@@ -688,7 +679,7 @@ def _add_engine_flags(p_run: argparse.ArgumentParser) -> None:
         default=[],
         metavar="SPEC",
         help="deterministically inject a fault to exercise the "
-        "degradation ladder; repeatable.  SPEC is columnar, "
+        "degradation ladder; repeatable.  SPEC is "
         "kernel-compile[:pred], index-build, scheduler, worker-death:N, "
         "unit-error:N, or slow-unit:N[:seconds]",
     )

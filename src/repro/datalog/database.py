@@ -16,58 +16,22 @@ them functionally in tests.
 from __future__ import annotations
 
 import threading
+from collections import Counter
+from operator import itemgetter
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
 from .ast import Atom
-from .columnar import PACK_LIMIT, PACK_SHIFT, ColumnStore, global_dictionary
 from .errors import ArityError, ValidationError
-
-try:  # numpy is optional; the packed fast path needs it
-    import numpy as _np
-except Exception:  # pragma: no cover - environment without numpy
-    _np = None
 
 __all__ = ["Relation", "Database"]
 
 Row = Tuple
 
 
-def _merge_runs(lo, hi):
-    """Merge two sorted, disjoint int64 runs in one linear pass.
-
-    Equivalent to ``np.insert(lo, lo.searchsorted(hi), hi)`` but
-    without that function's per-call bookkeeping, which dominates for
-    the small merges the log-structured cascade performs every round.
-    """
-    if lo.size < hi.size:
-        lo, hi = hi, lo
-    pos = lo.searchsorted(hi) + _np.arange(hi.size)
-    out = _np.empty(lo.size + hi.size, dtype=lo.dtype)
-    out[pos] = hi
-    mask = _np.ones(out.size, dtype=bool)
-    mask[pos] = False
-    out[mask] = lo
-    return out
-
-
 class Relation:
     """A set of fixed-arity tuples with lazily built hash indexes."""
 
-    __slots__ = (
-        "arity",
-        "_rows",
-        "_indexes",
-        "index_builds",
-        "_build_lock",
-        "_store",
-        "_store_shared",
-        "_version",
-        "_packed_cache",
-        "_packed_cache_epoch",
-        "_index_dirty",
-        "_raw_dirty",
-        "_raw_dirty_rows",
-    )
+    __slots__ = ("arity", "_rows", "_indexes", "index_builds", "_build_lock")
 
     def __init__(self, arity: int, rows: Iterable[Sequence] = ()):
         self.arity = arity
@@ -81,32 +45,6 @@ class Relation:
         #: probe the same read-only relation concurrently, and exactly
         #: one of them must materialize (and count) each missing index
         self._build_lock = threading.Lock()
-        #: lazily built dictionary-encoded columnar image (see
-        #: :mod:`repro.datalog.columnar`); None until the batch engine
-        #: asks for it, dropped on retraction / epoch change
-        self._store: Optional[ColumnStore] = None
-        #: True while ``_store`` is shared with a copy — the first
-        #: write privatizes it (copy-on-write)
-        self._store_shared: bool = False
-        #: mutation counter keying the store's encoded scan cache
-        self._version: int = 0
-        #: raw row → packed-int map filled by the vectorized absorb
-        #: path; lets the next round's delta frontier pack without
-        #: re-interning (see :meth:`packed_cache`)
-        self._packed_cache: Optional[dict] = None
-        self._packed_cache_epoch: int = -1
-        #: rows inserted by the vectorized absorb path whose hash-index
-        #: postings have not been appended yet; folded in by
-        #: :meth:`_sync_indexes` the next time an index is consulted
-        self._index_dirty: list[Row] = []
-        #: packed-row chunks inserted by the vectorized absorb path
-        #: whose raw tuples have not been materialized yet; each entry
-        #: is ``(int64 ndarray, id → value table)`` — the table is
-        #: captured at insert time so a later dictionary epoch change
-        #: cannot skew the decode.  Folded into ``_rows`` by
-        #: :meth:`_sync` the next time raw rows are consulted.
-        self._raw_dirty: list = []
-        self._raw_dirty_rows: int = 0
         for row in rows:
             self.add(tuple(row))
 
@@ -121,23 +59,17 @@ class Relation:
             raise ArityError(
                 f"row of length {len(row)} inserted into relation of arity {self.arity}"
             )
-        if self._raw_dirty:
-            self._sync()
-        if row in self._rows:
+        rows = self._rows
+        if row in rows:
             return False
-        if self._index_dirty:
-            self._sync_indexes()
-        self._rows.add(row)
+        rows.add(row)
         for positions, index in self._indexes.items():
             key = tuple(row[p] for p in positions)
-            index.setdefault(key, []).append(row)
-        self._version += 1
-        store = self._store
-        if store is not None:
-            if store.epoch != global_dictionary().epoch:
-                self._store = None  # stale encoding; rebuilt on demand
+            posting = index.get(key)
+            if posting is None:
+                index[key] = [row]
             else:
-                self._own_store().add_raw(row)
+                posting.append(row)
         return True
 
     def update(self, rows: Iterable[Row]) -> int:
@@ -147,10 +79,10 @@ class Relation:
     def bulk_load(self, rows: Iterable[Row]) -> int:
         """Fill an **empty** relation in one pass — the snapshot-restore
         fast path: rows land directly in the raw set with no per-row
-        index or columnar upkeep (nothing derived exists yet to
-        maintain; indexes and the columnar image build lazily later).
+        index upkeep (nothing derived exists yet to maintain; indexes
+        build lazily later).
         """
-        if self._rows or self._raw_dirty or self._indexes or self._store is not None:
+        if self._rows or self._indexes:
             raise ValidationError("bulk_load requires an empty relation")
         loaded = set(map(tuple, rows))
         arity = self.arity
@@ -161,7 +93,6 @@ class Relation:
                     f"of arity {arity}"
                 )
         self._rows = loaded
-        self._version += 1
         return len(loaded)
 
     def discard(self, row: Row) -> bool:
@@ -173,18 +104,9 @@ class Relation:
         rows).
         """
         row = tuple(row)
-        if self._raw_dirty:
-            self._sync()
         if row not in self._rows:
             return False
-        if self._index_dirty:
-            self._sync_indexes()
         self._rows.discard(row)
-        self._version += 1
-        # retraction drops the columnar image entirely (columns are
-        # append-only arrays); it rebuilds lazily on next batch use
-        self._store = None
-        self._store_shared = False
         for positions, index in self._indexes.items():
             key = tuple(row[p] for p in positions)
             posting = index.get(key)
@@ -200,91 +122,16 @@ class Relation:
     # -- lookup -------------------------------------------------------------
 
     def __contains__(self, row: Row) -> bool:
-        if self._raw_dirty:
-            self._sync()
         return tuple(row) in self._rows
 
     def __iter__(self) -> Iterator[Row]:
-        if self._raw_dirty:
-            self._sync()
         return iter(self._rows)
 
     def __len__(self) -> int:
-        # deferred packed rows are already deduplicated, so the count
-        # is exact without materializing them
-        return len(self._rows) + self._raw_dirty_rows
+        return len(self._rows)
 
     def rows(self) -> frozenset[Row]:
-        if self._raw_dirty:
-            self._sync()
         return frozenset(self._rows)
-
-    def _sync(self) -> None:
-        """Materialize raw tuples for every deferred packed chunk.
-
-        Chunks decode in insertion order, so the raw set's insertion
-        history — and therefore set iteration order downstream — is
-        bit-identical to eager per-row insertion.  Locked: readers at
-        the next scheduler depth may hit a completed relation's first
-        raw access concurrently.
-        """
-        with self._build_lock:
-            dirty = self._raw_dirty
-            if not dirty:
-                return
-            self._raw_dirty = []
-            self._raw_dirty_rows = 0
-            arity = self.arity
-            mask = PACK_LIMIT - 1
-            rows: list = []
-            for arr, values in dirty:
-                if arity == 0:
-                    rows.extend([()] * len(arr))
-                    continue
-                cols = [
-                    ((arr >> (PACK_SHIFT * (arity - 1 - p))) & mask).tolist()
-                    for p in range(arity)
-                ]
-                raw = [list(map(values.__getitem__, cl)) for cl in cols]
-                rows.extend(
-                    zip(*raw) if arity > 1 else [(v,) for v in raw[0]]
-                )
-            self._rows.update(rows)
-            if self._indexes:
-                self._index_dirty.extend(rows)
-
-    def _sync_indexes(self) -> None:
-        """Fold rows buffered by the vectorized absorb path into every
-        materialized hash index.
-
-        Dirty rows are appended in insertion order, so posting lists
-        end up identical to what eager per-insert maintenance would
-        have produced — order-dependent consumers (provenance,
-        existential scans with repeats) observe no difference.
-        """
-        dirty = self._index_dirty
-        if not dirty:
-            return
-        self._index_dirty = []
-        for positions, index in self._indexes.items():
-            get = index.get
-            if len(positions) == 1:
-                p0 = positions[0]
-                for row in dirty:
-                    key = (row[p0],)
-                    posting = get(key)
-                    if posting is None:
-                        index[key] = [row]
-                    else:
-                        posting.append(row)
-            else:
-                for row in dirty:
-                    key = tuple(row[p] for p in positions)
-                    posting = get(key)
-                    if posting is None:
-                        index[key] = [row]
-                    else:
-                        posting.append(row)
 
     def index_for(self, positions: tuple[int, ...]) -> dict[Row, list[Row]]:
         """Return (building if necessary) the hash index on *positions*.
@@ -292,11 +139,6 @@ class Relation:
         The index maps a key tuple (the row values at *positions*, in
         that order) to the list of full rows having those values.
         """
-        if self._raw_dirty:
-            self._sync()
-        if self._index_dirty:
-            with self._build_lock:
-                self._sync_indexes()
         index = self._indexes.get(positions)
         if index is None:
             # Double-checked locking: the unlocked fast path above is
@@ -329,15 +171,7 @@ class Relation:
         only needed when rows are mutated behind the relation's back
         (tests) or to bound memory between evaluation phases.
         """
-        if self._raw_dirty:
-            self._sync()
         self._indexes.clear()
-        self._index_dirty.clear()
-        # encoded postings are derived from the raw indexes, so the
-        # columnar image goes with them (rebuilt lazily)
-        self._store = None
-        self._store_shared = False
-        self._version += 1
 
     def lookup(self, positions: tuple[int, ...], key: Row) -> list[Row]:
         """Rows whose values at *positions* equal *key* (empty list if none).
@@ -345,281 +179,36 @@ class Relation:
         With empty *positions* this returns all rows.
         """
         if not positions:
-            if self._raw_dirty:
-                self._sync()
             return list(self._rows)
         return self.index_for(positions).get(tuple(key), [])
-
-    # -- columnar image -----------------------------------------------------
-
-    def _own_store(self) -> ColumnStore:
-        """The store, privatized if currently shared with a copy."""
-        store = self._store
-        if self._store_shared:
-            store = store.copy()
-            self._store = store
-            self._store_shared = False
-        return store
-
-    def column_store(self) -> ColumnStore:
-        """The dictionary-encoded columnar image (built on first use,
-        rebuilt when the global dictionary's epoch moved).
-
-        Packed rows the vectorized absorb path buffered are flushed
-        into the encoded-tuple structures here, so every consumer of
-        ``row_set`` / postings / columns sees a complete image.
-        """
-        dictionary = global_dictionary()
-        store = self._store
-        if store is None or store.epoch != dictionary.epoch:
-            if self._raw_dirty:
-                self._sync()  # re-encode from the complete raw row set
-            with self._build_lock:
-                store = self._store
-                if store is None or store.epoch != dictionary.epoch:
-                    store = ColumnStore(dictionary, self.arity, self._rows)
-                    self._store = store
-                    self._store_shared = False
-        if store._pending:
-            store.flush()
-        return store
 
     def degree_profile(self) -> tuple[int, tuple[int, ...]]:
         """Measured ``(row count, per-position max degree)`` statistics.
 
-        Degrees are read from whatever structure is already paid for:
-        an existing single-position hash index (posting lengths), the
-        current-epoch columnar store's dictionary/posting image
-        (:meth:`ColumnStore.profile`), or one counting pass over the
-        raw rows.  Crucially this never *builds* a store or an index —
-        profiling must not intern constants or bump the index-build
-        counters, so the engine's work statistics are identical with
-        and without profiling.
+        Degrees are read from an existing single-position hash index
+        (posting lengths) when one is built, else from one C-level
+        count over the rows.  This never *builds* an index — profiling
+        must not bump the index-build counters, so the engine's work
+        statistics are identical with and without profiling.
         """
-        store = self._store
-        if store is not None and store.epoch == global_dictionary().epoch:
-            # a current-epoch store is maintained on every insert, so
-            # it is complete even while raw materialization is deferred
-            return store.profile()
-        if self._raw_dirty:
-            self._sync()
         rows = self._rows
-        n = len(rows)
         degrees: list[int] = []
         for p in range(self.arity):
-            if not self._index_dirty:
-                index = self._indexes.get((p,))
-                if index is not None:
-                    degrees.append(
-                        max((len(v) for v in index.values()), default=0)
-                    )
-                    continue
-            counts: dict = {}
-            best = 0
-            for row in rows:
-                v = row[p]
-                c = counts.get(v, 0) + 1
-                counts[v] = c
-                if c > best:
-                    best = c
-            degrees.append(best)
-        return n, tuple(degrees)
+            index = self._indexes.get((p,))
+            if index is not None:
+                degrees.append(max(map(len, index.values()), default=0))
+            else:
+                counts = Counter(map(itemgetter(p), rows))
+                degrees.append(max(counts.values(), default=0))
+        return len(rows), tuple(degrees)
 
-    def _store_for_packed(self) -> ColumnStore:
-        """The store for the vectorized absorb path: current-epoch and
-        privatized, but **without** flushing pending packed rows (the
-        whole point of the path is deferring that work)."""
-        dictionary = global_dictionary()
-        store = self._store
-        if store is None or store.epoch != dictionary.epoch:
-            return self.column_store()
-        if self._store_shared:
-            store = self._own_store()
-        return store
+    # perfbench compatibility — drop with the next benchmark PR.  The
+    # benchmark's traced run wraps these two names; nothing calls them.
+    def column_store(self) -> None:
+        return None
 
-    def packed_row_set(self) -> Optional[set]:
-        """All rows in packed-int form (vectorized dedup), or None when
-        any constant id exceeds the packing bound."""
-        return self._store_for_packed().packed_set()
-
-    def packed_cache(self) -> dict:
-        """The raw-row → packed-int map for frontier packing (reset
-        when the dictionary epoch moves)."""
-        dictionary = global_dictionary()
-        cache = self._packed_cache
-        if cache is None or self._packed_cache_epoch != dictionary.epoch:
-            cache = {}
-            self._packed_cache = cache
-            self._packed_cache_epoch = dictionary.epoch
-        return cache
-
-    def packed_runs(self) -> Optional[list]:
-        """Sorted disjoint int64 runs covering every current row — the
-        vectorized absorb path's membership structure — or None when a
-        constant id exceeds the packing bound (or numpy is absent).
-
-        Runs live on the column store stamped with the relation version
-        they describe; steady-state vectorized rounds extend them
-        incrementally (:meth:`add_packed_deferred`), and any mutation
-        through another path desynchronizes the stamp, forcing a full
-        rebuild here from the packed row set.
-        """
-        if _np is None:
-            return None
-        store = self._store_for_packed()
-        runs = store._runs
-        if runs is not None and store._runs_version == self._version:
-            return runs
-        pset = store.packed_set()
-        if pset is None:
-            return None
-        arr = _np.fromiter(pset, dtype=_np.int64, count=len(pset))
-        arr.sort()
-        # the runs supersede the python-level packed set for membership;
-        # drop it so steady-state rounds don't pay per-row upkeep
-        store._packed = None
-        store._runs = runs = [arr] if arr.size else []
-        store._runs_version = self._version
-        store.bloom_rebuild(runs, arr.size)
-        return runs
-
-    def packed_novel_mask(self, uniq):
-        """Boolean mask over sorted packed rows *uniq* marking which are
-        not yet present in this relation, or None when the packed
-        membership structures are unavailable (see :meth:`packed_runs`).
-
-        The Bloom prefilter clears the common case — a genuinely new
-        row misses both hash probes — so only the few maybe-present
-        candidates pay a searchsorted pass per run.
-        """
-        runs = self.packed_runs()
-        if runs is None:
-            return None
-        store = self._store_for_packed()
-        if store._bloom is None:  # privatized copy: bit table not shared
-            store.bloom_rebuild(runs, sum(r.size for r in runs))
-        mask = _np.ones(uniq.size, dtype=bool)
-        cand = store.bloom_maybe(uniq).nonzero()[0]
-        if cand.size:
-            vals = uniq.take(cand)
-            hit = _np.zeros(cand.size, dtype=bool)
-            for run in runs:
-                # clip keeps take() in bounds; the clipped last slot can
-                # never compare equal for a value beyond the run's max
-                idx = _np.minimum(run.searchsorted(vals), run.size - 1)
-                hit |= run.take(idx) == vals
-            mask[cand[hit]] = False
-        return mask
-
-    def add_packed_deferred(self, ordered, sorted_fresh) -> None:
-        """Bulk-insert packed rows known to be new, deferring raw work.
-
-        *ordered* is the fresh rows in derivation order (the frontier
-        contract), *sorted_fresh* the same values sorted (the run
-        extension).  Nothing row-at-a-time happens here: raw tuples
-        materialize in :meth:`_sync` when raw structures are next read,
-        and the store's encoded-tuple structures flush on their own
-        schedule (:meth:`ColumnStore.flush`).
-        """
-        store = self._store_for_packed()
-        n = len(ordered)
-        self._raw_dirty.append((ordered, store.dictionary.values_list()))
-        self._raw_dirty_rows += n
-        store.add_packed_pending(ordered)
-        store._packed = None  # rebuilt on demand; runs carry membership
-        version = self._version + n
-        runs = store._runs
-        if runs is not None and store._runs_version == self._version:
-            runs.append(sorted_fresh)
-            # log-structured merging: keep run sizes geometrically
-            # decreasing so membership stays O(log n) searchsorted
-            # passes and total merge work stays O(n log n)
-            while len(runs) > 1 and 2 * runs[-1].size >= runs[-2].size:
-                hi = runs.pop()
-                lo = runs.pop()
-                runs.append(_merge_runs(lo, hi))
-            store._runs_version = version
-            if store._bloom is not None:
-                total = sum(r.size for r in runs)
-                if total << 3 > (1 << store._bloom_log2):
-                    store.bloom_rebuild(runs, total)  # keep ≥8 bits/key
-                else:
-                    store.bloom_add(sorted_fresh)
-        self._version = version
-
-    def decode_packed(self, arr) -> list:
-        """Decode packed rows (current dictionary epoch) to raw tuples,
-        preserving order."""
-        arity = self.arity
-        if arity == 0:
-            return [()] * len(arr)
-        values = global_dictionary().values_list()
-        mask = PACK_LIMIT - 1
-        cols = [
-            ((arr >> (PACK_SHIFT * (arity - 1 - p))) & mask).tolist()
-            for p in range(arity)
-        ]
-        raw = [list(map(values.__getitem__, cl)) for cl in cols]
-        return list(zip(*raw)) if arity > 1 else [(v,) for v in raw[0]]
-
-    def encoded_index(self, positions: tuple[int, ...]) -> dict:
-        """Encoded postings on *positions* for the batch kernels.
-
-        Forces the raw index first — so lazy builds are counted in
-        ``index_builds`` exactly when the tuple engine would build
-        them, and encoded posting order mirrors raw posting order.
-        """
-        raw = self.index_for(positions)
-        store = self.column_store()
-        postings = store._postings.get(positions)
-        if postings is None:
-            with self._build_lock:
-                postings = store.encoded_index(positions, raw)
-        return postings
-
-    def encoded_rows(self) -> list:
-        """Encoded rows in current ``list(relation)`` order (the batch
-        kernels' full-scan path)."""
-        if self._raw_dirty:
-            self._sync()  # the scan mirrors raw set iteration order
-        return self.column_store().scan_rows(self)
-
-    def add_encoded_batch(self, enc_rows: Iterable[tuple]) -> list:
-        """Bulk-insert encoded rows known to be new; returns the
-        decoded raw rows in input order.
-
-        The batch-kernel counterpart of repeated :meth:`add`: the
-        caller has already deduplicated against the store's row set, so
-        this maintains the raw row set, the raw indexes and the
-        columnar image without re-checking membership.  Input order is
-        preserved end-to-end (raw set insertion history and posting
-        append order are what downstream order-dependent consumers —
-        provenance, existential scans with repeats — observe).
-        """
-        self.column_store()  # ensure a current-epoch store exists
-        store = self._own_store()
-        if self._raw_dirty:
-            self._sync()
-        if self._index_dirty:
-            self._sync_indexes()
-        values = store.dictionary.values_list()
-        rows = self._rows
-        indexes = self._indexes
-        out = []
-        for enc in enc_rows:
-            raw = tuple(values[c] for c in enc)
-            rows.add(raw)
-            for positions, index in indexes.items():
-                key = tuple(raw[p] for p in positions)
-                posting = index.get(key)
-                if posting is None:
-                    index[key] = [raw]
-                else:
-                    posting.append(raw)
-            store.add_encoded(enc)
-            out.append(raw)
-        self._version += len(out)
-        return out
+    def packed_runs(self) -> None:
+        return None
 
     def copy(self) -> "Relation":
         """An independent copy carrying the materialized indexes.
@@ -630,49 +219,26 @@ class Relation:
         scratch.  The copy's ``index_builds`` counter starts at zero —
         carried indexes were not built by the copy.
         """
-        if self._raw_dirty:
-            self._sync()
-        if self._index_dirty:
-            self._sync_indexes()
         out = Relation.__new__(Relation)
         out.arity = self.arity
         out._rows = set(self._rows)
-        out._index_dirty = []
-        out._raw_dirty = []
-        out._raw_dirty_rows = 0
         out._indexes = {
             positions: {key: list(rows) for key, rows in index.items()}
             for positions, index in self._indexes.items()
         }
         out.index_builds = 0
         out._build_lock = threading.Lock()
-        # the columnar image is shared copy-on-write: both sides keep
-        # reading it for free, and whichever writes first privatizes
-        # its own copy (column arrays + row set) via _own_store
-        out._store = self._store
-        out._store_shared = self._store_shared = self._store is not None
-        out._version = self._version
-        # the packed encode cache is value-level (raw row → ids) and
-        # epoch-guarded, so sharing it by reference is safe
-        out._packed_cache = self._packed_cache
-        out._packed_cache_epoch = self._packed_cache_epoch
         return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Relation):
             return NotImplemented
-        if self._raw_dirty:
-            self._sync()
-        if other._raw_dirty:
-            other._sync()
         return self.arity == other.arity and self._rows == other._rows
 
     def __hash__(self):  # relations are mutable containers
         raise TypeError("Relation is unhashable")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if self._raw_dirty:
-            self._sync()
         sample = sorted(self._rows, key=repr)[:4]
         more = "..." if len(self._rows) > 4 else ""
         return f"Relation(arity={self.arity}, {len(self._rows)} rows: {sample}{more})"

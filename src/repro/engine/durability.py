@@ -1,4 +1,4 @@
-"""Durable session runtime: write-ahead log + columnar snapshots.
+"""Durable session runtime: write-ahead log + column snapshots.
 
 An :class:`~repro.engine.incremental.IncrementalSession` today lives and
 dies with its process: a crash mid-batch loses the materialized fixpoint
@@ -17,18 +17,17 @@ reproduces the exact post-batch state even when the original process
 died mid-apply (or the batch tripped a governor limit and left only a
 partial lower bound in memory).
 
-**Columnar snapshots.**  Periodically — every ``snapshot_every``
+**Column snapshots.**  Periodically — every ``snapshot_every``
 batches, past ``max_wal_bytes`` of log, past ``max_wal_age_s`` of log
 age, or on a forced ``.checkpoint`` — the materialized state is
-serialized through the columnar plane: each relation's
-:class:`~repro.datalog.columnar.ColumnStore` provides dict-encoded
-int64 columns, and the snapshot embeds the id → value interning table
-those columns reference.  Loading decodes by direct table indexing —
-no per-cell re-interning against the process dictionary, and no
-dependence on the current dictionary epoch (the satellite test clears
-the dictionary and the prepared cache between write and load).  Writes
-are atomic (temp file + fsync + rename) and verified by per-section
-CRCs on load, so a torn snapshot is *detected*, never half-loaded.
+serialized column by column: each relation's rows are encoded into
+int64 ``array('q')`` columns of ids into a value table built for that
+one snapshot and embedded in its header.  The table is keyed by
+``(type, value)``, so ``1``, ``True`` and ``1.0`` keep distinct ids and
+come back with their own types.  Loading decodes by direct table
+indexing.  Writes are atomic (temp file + fsync + rename) and verified
+by per-section CRCs on load, so a torn snapshot is *detected*, never
+half-loaded.
 
 **Snapshot-then-truncate compaction.**  After a snapshot at sequence
 ``S`` the WAL is rewritten to drop records already folded into the
@@ -54,8 +53,10 @@ from __future__ import annotations
 import json
 import os
 import struct
+import sys
 import time
 import zlib
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional
@@ -99,7 +100,6 @@ _SIGNATURE_FIELDS = (
     "strategy",
     "use_indexes",
     "use_kernels",
-    "use_columnar",
     "use_cost_planner",
     "use_scc",
     "cut_predicates",
@@ -121,6 +121,22 @@ def flag_signature(options: "EngineOptions") -> str:
             value = ",".join(sorted(value))
         parts.append(f"{name}={value}")
     return ";".join(parts)
+
+
+def comparable_flags(signature: Optional[str]) -> Optional[str]:
+    """A stored flag signature in the form the current
+    :func:`flag_signature` produces.
+
+    Logs and snapshots written while the columnar tier existed carry a
+    ``use_columnar=…`` clause; it no longer selects an engine, so it is
+    dropped before any comparison.
+    """
+    if signature is None:
+        return None
+    return ";".join(
+        part for part in signature.split(";")
+        if not part.startswith("use_columnar=")
+    )
 
 
 def program_signature(program) -> str:
@@ -506,7 +522,7 @@ def read_wal(path: str) -> WalData:
 
 
 # ---------------------------------------------------------------------------
-# columnar snapshots
+# column snapshots
 
 
 @dataclass
@@ -530,11 +546,10 @@ class Snapshot:
 
 def _snapshot_entries(db: Database, initial: Mapping[str, set]):
     """Yield ``(name, kind, arity, rows)`` for everything a snapshot
-    persists: every relation (rows None — the columnar image is the
-    source), then the initial-IDB row sets."""
+    persists: every relation, then the initial-IDB row sets."""
     for pred in sorted(db.predicates()):
         rel = db.relation(pred)
-        yield pred, "relation", rel.arity, None
+        yield pred, "relation", rel.arity, rel
     for pred in sorted(initial):
         rows = initial[pred]
         if not rows:
@@ -556,65 +571,55 @@ def write_snapshot(
     guard=None,
     injector=None,
 ) -> Path:
-    """Serialize the session state through the columnar plane into
+    """Serialize the session state column by column into
     ``<wal>.snap-<seq>``, atomically (temp + fsync + rename).
 
-    Columns come from each relation's
-    :meth:`~repro.datalog.database.Relation.column_store` — the same
-    dict-encoded int64 arrays the batch kernels run on — and the
-    embedded ``dict`` table is the id → value prefix those columns
-    reference, captured after every store is built so all ids resolve.
-    *guard* (a :class:`~repro.engine.governor.Guard`) is checkpointed
-    between relations, so snapshot work counts against the batch's
-    deadline like any other engine work.
+    Each entry's rows are encoded into one ``array('q')`` per position,
+    holding ids into a value table built for this snapshot alone and
+    embedded as the header's ``dict``.  The table is keyed by
+    ``(type(v), v)``: Python's ``1 == True == 1.0`` would otherwise
+    collapse them into one id, and a recovered session would answer
+    with whichever came first.  *guard* (a
+    :class:`~repro.engine.governor.Guard`) is checkpointed between
+    relations, so snapshot work counts against the batch's deadline
+    like any other engine work.
     """
-    from ..datalog.columnar import global_dictionary
     from .faults import WalCrash
+
+    ids: dict = {}  # (type(v), v) -> position in values
+    values: list = []
+
+    def encode(column: list) -> array:
+        keys = list(zip(map(type, column), column))
+        for key in dict.fromkeys(keys):
+            if key not in ids:
+                if key[0] not in _SCALARS:
+                    raise DurabilityError(
+                        f"value {key[1]!r} of type {key[0].__name__} cannot "
+                        f"be snapshotted; values must be str/int/float/bool"
+                    )
+                ids[key] = len(values)
+                values.append(key[1])
+        return array("q", map(ids.__getitem__, keys))
 
     entries = []
     stores = []
     for name, kind, arity, rows in _snapshot_entries(db, initial):
         if guard is not None and stats is not None:
             guard.checkpoint(stats)
-        if kind == "relation":
-            store = db.relation(name).column_store()
-            nrows = len(store.columns[0]) if arity else len(db.relation(name))
-            if arity and nrows != len(db.relation(name)):  # pragma: no cover
-                raise DurabilityError(
-                    f"columnar image of {name!r} has {nrows} rows but the "
-                    f"relation holds {len(db.relation(name))}"
-                )
-            columns = store.columns
-        else:
-            # initial-IDB row sets are tiny; encode them through the
-            # same dictionary so one embedded table serves everything
-            dictionary = global_dictionary()
-            enc = sorted(dictionary.intern_row(r) for r in rows)
-            from array import array
-
-            columns = [array("q", (r[p] for r in enc)) for p in range(arity)]
-            nrows = len(enc)
+        rows = list(rows)
+        stores.append([encode([row[p] for row in rows]) for p in range(arity)])
         entries.append(
-            {"name": name, "kind": kind, "arity": arity, "rows": nrows}
+            {"name": name, "kind": kind, "arity": arity, "rows": len(rows)}
         )
-        stores.append(columns)
 
-    # captured AFTER all stores exist: building a store may intern
-    # values, and every id used above must resolve in this table
-    values = list(global_dictionary().values_list())
-    for v in values:
-        if type(v) not in _SCALARS:
-            raise DurabilityError(
-                f"interned value {v!r} of type {type(v).__name__} cannot "
-                f"be snapshotted; values must be str/int/float/bool"
-            )
     header = {
         "version": 1,
         "seq": seq,
         "flags": flags,
         "program": program,
         "dirty": dirty,
-        "byteorder": __import__("sys").byteorder,
+        "byteorder": sys.byteorder,
         "dict": values,
         "entries": entries,
     }
@@ -628,10 +633,7 @@ def write_snapshot(
         for i, columns in enumerate(stores):
             if guard is not None and stats is not None:
                 guard.checkpoint(stats)
-            blob = b"".join(
-                col.tobytes() if hasattr(col, "tobytes") else bytes(col)
-                for col in columns
-            )
+            blob = b"".join(col.tobytes() for col in columns)
             f.write(_frame(blob))
             if (
                 injector is not None
@@ -679,14 +681,10 @@ def load_snapshot(path) -> Snapshot:
     on any damage — a truncated file, a failed CRC, or a row-count
     mismatch — so a bad snapshot is skipped, never half-trusted.
 
-    Decoding is intern-free: column ids index the embedded value table
-    directly, and rows enter each relation through
-    :meth:`~repro.datalog.database.Relation.bulk_load` (the columnar
-    image rebuilds lazily the first time the batch engine needs it).
+    Column ids index the embedded value table directly, and rows enter
+    each relation through
+    :meth:`~repro.datalog.database.Relation.bulk_load`.
     """
-    import sys as _sys
-    from array import array
-
     try:
         with open(path, "rb") as f:
             buf = f.read()
@@ -703,7 +701,7 @@ def load_snapshot(path) -> Snapshot:
     except ValueError as exc:
         raise _snapshot_damage(path, f"{path}: header is not JSON: {exc}") from exc
     values = header.get("dict", [])
-    swap = header.get("byteorder") != _sys.byteorder
+    swap = header.get("byteorder") != sys.byteorder
 
     db = Database()
     initial: dict[str, set] = {}

@@ -32,7 +32,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from ..datalog.ast import Atom, Program
-from ..datalog.columnar import global_dictionary
 from ..datalog.database import Database
 from ..datalog.errors import EvaluationError, ValidationError
 from ..datalog.terms import Constant, Variable
@@ -71,16 +70,8 @@ class EngineOptions:
         the differential oracle — answers, provenance, and every work
         counter except ``kernel_launches`` are bit-identical.
     use_columnar
-        Evaluate rule bodies with dictionary-encoded **batch kernels**
-        where possible (default; requires ``use_kernels``): the
-        semi-naive frontier flows through each join plan as batches of
-        encoded contexts (:mod:`repro.engine.batch_kernel`) instead of
-        per-tuple loops, with the tuple kernels as the fallback rung
-        for order-dependent rule shapes, provenance-recording runs and
-        injected ``columnar`` faults.  ``False`` (the CLI's
-        ``--no-columnar``) pins every rule to the PR-2 tuple kernels —
-        the batch engine's differential oracle; answers, fact counts
-        and every engine-invariant counter are bit-identical.
+        Retired with the columnar tier; kept only so existing callers
+        that pass ``False`` keep working.  ``True`` is refused.
     use_cost_planner
         Order rule bodies with the bound-driven cost model (default):
         relations are profiled into log-bucketed sizes and per-position
@@ -152,7 +143,8 @@ class EngineOptions:
     cut_predicates: frozenset[str] = frozenset()
     use_indexes: bool = True
     use_kernels: bool = True
-    use_columnar: bool = True
+    # perfbench compatibility — drop with the next benchmark PR
+    use_columnar: bool = False
     use_cost_planner: bool = True
     replan_rounds: int = 4
     use_scc: bool = True
@@ -169,6 +161,11 @@ class EngineOptions:
     def __post_init__(self):
         if self.strategy not in ("seminaive", "naive"):
             raise ValidationError(f"unknown strategy {self.strategy!r}")
+        if self.use_columnar:
+            raise ValidationError(
+                "use_columnar is retired: the columnar tier was removed "
+                "and the tuple kernels are the top engine rung"
+            )
         if self.parallel < 1:
             raise ValidationError(f"parallel must be >= 1, got {self.parallel}")
         if self.on_limit not in ("raise", "partial"):
@@ -386,17 +383,12 @@ def evaluate(
 
     def finalize() -> None:
         for pred in program.idb_predicates():
-            # count via the relation, not a materialized snapshot:
-            # deferred packed rows stay packed until something reads
-            # actual tuples
             rel = db.relation(pred)
             stats.fact_counts[pred] = len(rel) if rel is not None else 0
         # Shared base relations may carry builds from earlier runs
         # (that is the point of sharing them); only builds during this
         # run count.
         stats.index_builds = db.index_builds() - builds_before
-        if opts.use_columnar and opts.use_kernels and not opts.record_provenance:
-            stats.dict_size = len(global_dictionary())
 
     # Adaptive replanning rides on the cost planner: recursive
     # fixpoints re-rank their delta plans every `replan_rounds` rounds

@@ -21,16 +21,10 @@ site is reached.
 
 Fault kinds and the degradation they exercise:
 
-``columnar``
-    Batch-kernel selection "fails" for every rule — the engine must
-    fall back to the tuple kernels mid-run with identical answers
-    (**columnar → tuple-kernel**, the ladder's top rung).
 ``kernel-compile[:pred]``
     Kernel compilation "fails" for rules heading *pred* (every rule
     without the suffix) — the engine must fall back to the plan
-    interpreter per rule (**kernel → interpreter**).  Batch kernels
-    ride on the tuple-kernel machinery, so this fault disables both
-    tiers for the affected rules.
+    interpreter per rule (**kernel → interpreter**).
 ``index-build``
     Hash-index construction "fails" at engine start — the run degrades
     to full-scan probing (**index → scan**).
@@ -149,8 +143,6 @@ class FaultPlan:
 
     #: head predicates whose kernel compilation fails ("*" = every rule)
     kernel_compile: frozenset[str] = frozenset()
-    #: batch-kernel selection fails; every rule runs on tuple kernels
-    columnar: bool = False
     #: hash-index construction fails; the run degrades to full scans
     index_build: bool = False
     #: SCC scheduling fails at startup; fall back to the monolithic loop
@@ -184,7 +176,6 @@ class FaultPlan:
         """True iff at least one fault is armed."""
         return bool(
             self.kernel_compile
-            or self.columnar
             or self.index_build
             or self.scheduler
             or self.worker_death is not None
@@ -197,7 +188,7 @@ class FaultPlan:
 def parse_fault_specs(specs: Iterable[str]) -> FaultPlan:
     """Build a :class:`FaultPlan` from CLI ``--inject-fault`` specs.
 
-    Accepted forms: ``columnar``, ``kernel-compile``,
+    Accepted forms: ``kernel-compile``,
     ``kernel-compile:PRED``, ``index-build``, ``scheduler``,
     ``worker-death:N``, ``unit-error:N``, ``slow-unit:N``,
     ``slow-unit:N:SECONDS``, ``wal-crash:POINT`` and
@@ -219,8 +210,6 @@ def parse_fault_specs(specs: Iterable[str]) -> FaultPlan:
                     plan,
                     kernel_compile=plan.kernel_compile | {rest or "*"},
                 )
-            elif kind == "columnar" and not rest:
-                plan = replace(plan, columnar=True)
             elif kind == "index-build" and not rest:
                 plan = replace(plan, index_build=True)
             elif kind == "scheduler" and not rest:
@@ -238,7 +227,7 @@ def parse_fault_specs(specs: Iterable[str]) -> FaultPlan:
                 raise ValueError
         except ValueError:
             raise EvaluationError(
-                f"unknown fault spec {spec!r}; expected columnar, "
+                f"unknown fault spec {spec!r}; expected "
                 f"kernel-compile[:pred], index-build, scheduler, "
                 f"worker-death:N, unit-error:N, slow-unit:N[:seconds], "
                 f"or wal-crash:POINT[:seq] with POINT one of "
@@ -275,10 +264,6 @@ class FaultInjector:
         """Should the kernel for a rule heading *head_predicate* fail?"""
         kc = self.plan.kernel_compile
         return bool(kc) and ("*" in kc or head_predicate in kc)
-
-    def columnar_fails(self) -> bool:
-        """Should batch-kernel selection fail (for every rule)?"""
-        return self.plan.columnar
 
     def index_build_fails(self) -> bool:
         return self.plan.index_build

@@ -506,12 +506,3 @@ class Guard:
             return False
         injector.record(stats, "kernel->interpreter", head_predicate)
         return True
-
-    def columnar_fault(self, stats) -> bool:
-        """True iff an injected fault forbids batch kernels (the
-        columnar→tuple-kernel degradation); recorded once per run."""
-        injector = self.governor.injector
-        if injector is None or not injector.columnar_fails():
-            return False
-        injector.record(stats, "columnar->tuple")
-        return True

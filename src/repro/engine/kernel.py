@@ -42,14 +42,11 @@ replan that toggles back to an earlier order — hits the source-text
 cache and costs string generation only, no ``compile()``.
 Use :func:`kernel_source` to read the generated code when debugging.
 
-These per-row kernels are the middle rung of the engine ladder: when
-numpy is available the scheduler first tries the columnar batch
-kernels in :mod:`repro.engine.batch_kernel`, which run whole delta
-frontiers through vectorized array joins (``EngineOptions(
-use_columnar=False)`` / ``--no-columnar`` selects this tier directly);
-rules the batch plane declines — unsupported shapes, cold stores,
-injected faults — fall back here, and failures here fall back to the
-interpreter.
+These kernels are the top rung of the engine ladder: every rule runs
+here unless a kernel cannot be generated for it or an injected
+``kernel-compile`` fault forbids it, in which case it falls back to
+the plan interpreter.  Relations keep one data plane — the row set and
+its lazy hash indexes — which the generated loops read directly.
 """
 
 from __future__ import annotations
@@ -151,6 +148,8 @@ def kernel_source(
         if delta and i == 0:
             continue
         out.w(1, f"rel{i} = db.relation({plan.atom.predicate!r})")
+        if use_indexes and plan.bound_positions and plan.free_positions:
+            out.w(1, f"ix{i} = None")
     for k, atom in enumerate(cr.rule.negative):
         out.w(1, f"nrel{k} = db.relation({atom.predicate!r})")
 
@@ -210,8 +209,12 @@ def kernel_source(
                 key = _tuple_display(
                     [term(plan.atom.args[p]) for p in plan.bound_positions]
                 )
+                # the index is fetched at the step's first probe (so a
+                # lazy build is counted exactly when the interpreter
+                # would build it) and reused by every later probe
                 out.w(depth, "stats.index_probes += 1")
-                out.w(depth, f"for row{i} in rel{i}.lookup({positions}, {key}):")
+                out.w(depth, f"if ix{i} is None: ix{i} = rel{i}.index_for({positions})")
+                out.w(depth, f"for row{i} in ix{i}.get({key}, ()):")
                 body = depth + 1
                 out.w(body, "stats.rows_scanned += 1")
                 emit_binds(plan, i, body)

@@ -29,13 +29,7 @@ from typing import Iterator, Mapping, Optional, Sequence
 
 from ..datalog.ast import Atom, Rule
 from ..datalog.builtins import is_builtin
-from ..datalog.columnar import PACK_LIMIT, PACK_SHIFT, global_dictionary
 from ..datalog.database import Database
-
-try:  # numpy is optional; DeltaIndex.packed_rows needs it
-    import numpy as _np
-except Exception:  # pragma: no cover - environment without numpy
-    _np = None
 from ..datalog.terms import Constant, Variable
 from .statistics import EvalStats
 
@@ -109,7 +103,6 @@ class LiteralPlan:
 
 _UNBOUND = object()
 _NO_ROWS: list = []
-_PACK_FAIL = object()  # memoized "frontier cannot be packed" sentinel
 
 
 class DeltaIndex:
@@ -125,114 +118,26 @@ class DeltaIndex:
     accounting of the previous linear filter.
     """
 
-    __slots__ = ("_rows", "_groups", "_encoded", "_packed", "_relation")
+    __slots__ = ("_rows", "_groups")
 
     def __init__(self, rows):
-        self._rows: Optional[list] = list(rows)
+        self._rows: list = list(rows)
         self._groups: dict[tuple[int, ...], dict[tuple, list]] = {}
-        self._encoded: Optional[list] = None
-        self._packed = None
-        self._relation = None
-
-    @classmethod
-    def from_packed(cls, packed, relation) -> "DeltaIndex":
-        """A frontier born packed (the vectorized absorb path kept the
-        round's fresh rows as one int64 per row).  Raw and encoded
-        views materialize lazily — a round handled entirely by the
-        vectorized kernels never pays for them."""
-        self = cls.__new__(cls)
-        self._rows = None
-        self._groups = {}
-        self._encoded = None
-        self._packed = packed
-        self._relation = relation
-        return self
 
     def all_rows(self) -> list:
-        rows = self._rows
-        if rows is None:
-            rows = self._rows = self._relation.decode_packed(self._packed)
-        return rows
-
-    def encoded_rows(self) -> list:
-        """The frontier dictionary-encoded, in ``all_rows`` order (the
-        batch kernels' delta feed); encoded once per frontier."""
-        enc = self._encoded
-        if enc is None:
-            if self._rows is None:
-                # unpack ids straight from the packed image — no raw
-                # tuples, no dictionary probes
-                arr = self._packed
-                arity = self._relation.arity
-                mask = PACK_LIMIT - 1
-                cols = [
-                    ((arr >> (PACK_SHIFT * (arity - 1 - p))) & mask).tolist()
-                    for p in range(arity)
-                ]
-                enc = (
-                    list(zip(*cols))
-                    if arity > 1
-                    else [(v,) for v in cols[0]]
-                    if arity
-                    else [()] * len(arr)
-                )
-            else:
-                intern = global_dictionary().intern
-                enc = [tuple(intern(v) for v in row) for row in self._rows]
-            self._encoded = enc
-        return enc
-
-    def packed_rows(self, relation):
-        """The frontier as one packed int64 per row, in ``all_rows``
-        order (the vectorized kernels' delta feed), or None when
-        packing is unavailable (no numpy, arity > 3, id overflow).
-
-        *relation* is the frontier predicate's relation; rows the
-        vectorized absorb path derived hit its packed cache, so only
-        tuple-path contributions (typically the naive round) pay the
-        per-value intern here.  Cached per frontier — shared by every
-        rule probing it this round.
-        """
-        cached = self._packed
-        if cached is not None:
-            return None if cached is _PACK_FAIL else cached
-        arr = self._pack(relation)
-        self._packed = arr if arr is not None else _PACK_FAIL
-        return arr
-
-    def _pack(self, relation):
-        rows = self._rows
-        if _np is None or not rows or len(rows[0]) > 3:
-            return None
-        cache = relation.packed_cache() if relation is not None else {}
-        packed = list(map(cache.get, rows))
-        if None in packed:
-            intern = global_dictionary().intern
-            for i, v in enumerate(packed):
-                if v is not None:
-                    continue
-                p = 0
-                for value in rows[i]:
-                    c = intern(value)
-                    if c >= PACK_LIMIT:
-                        return None
-                    p = (p << PACK_SHIFT) | c
-                packed[i] = p
-                cache[rows[i]] = p
-        return _np.array(packed, dtype=_np.int64)
+        return self._rows
 
     def __len__(self) -> int:
-        rows = self._rows
-        return len(rows) if rows is not None else len(self._packed)
+        return len(self._rows)
 
     def lookup(self, positions: tuple[int, ...], key: tuple) -> list:
         """Frontier rows whose values at *positions* equal *key*."""
         if not positions:
-            return self.all_rows()
+            return self._rows
         group = self._groups.get(positions)
         if group is None:
             group = {}
-            for row in self.all_rows():
+            for row in self._rows:
                 group.setdefault(tuple(row[p] for p in positions), []).append(row)
             self._groups[positions] = group
         return group.get(tuple(key), _NO_ROWS)
@@ -442,7 +347,7 @@ def replan_delta_plans(cr: CompiledRule, cost_model) -> CompiledRule:
     unchanged, so kernels memoized on the object survive no-op
     replans; otherwise a fresh :class:`CompiledRule` whose kernels are
     re-generated on demand (amortized by the process-wide source-text
-    caches in :mod:`repro.engine.kernel` / ``batch_kernel``).
+    cache in :mod:`repro.engine.kernel`).
     """
     always_needed = _always_needed(cr.rule, cr.builtins)
     delta_plans = tuple(

@@ -62,6 +62,7 @@ from .durability import (
     DurabilityConfig,
     DurableLog,
     WriteAheadLog,
+    comparable_flags,
     flag_signature,
     list_snapshots,
     load_snapshot,
@@ -166,7 +167,8 @@ def recover(
             f"WAL {config.wal_path} was written for program "
             f"{data.header.get('program')!r}, recovering program is {psig!r}",
         )
-    drift = data.header.get("flags") != sig
+    stored_flags = comparable_flags(data.header.get("flags"))
+    drift = stored_flags != sig
     if drift and config.on_flag_drift == "refuse":
         raise RecoveryError(
             "flag-drift",
@@ -187,7 +189,7 @@ def recover(
         if candidate.program != data.header.get("program"):
             skipped.append((str(path), "program-drift"))
             continue
-        if candidate.flags != data.header.get("flags"):
+        if comparable_flags(candidate.flags) != stored_flags:
             skipped.append((str(path), "flag-drift"))
             continue
         if candidate.seq < data.base_seq:

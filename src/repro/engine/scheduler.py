@@ -53,11 +53,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
-try:  # numpy is optional; without it the vectorized path never engages
-    import numpy as _np
-except Exception:  # pragma: no cover - environment without numpy
-    _np = None
-
 from ..datalog.analysis import (
     DependencyInfo,
     component_depths,
@@ -67,17 +62,6 @@ from ..datalog.analysis import (
 from ..datalog.builtins import eval_builtin
 from ..datalog.database import Database
 from ..datalog.terms import Constant
-from .batch_kernel import (
-    batch_cold_debt,
-    batch_rule_kernel,
-    unpack_rows,
-    vector_rule_kernel,
-)
-
-#: encode debt (rows to re-intern) above which a one-shot (naive-plan)
-#: firing skips the batch tier for the tuple kernel: recursive delta
-#: firings amortize the encode across rounds, a single firing cannot
-_COLD_DEBT_LIMIT = 4096
 from .cost import AdaptiveReplanner
 from .faults import SchedulerFault, WorkerDeath
 from .governor import BudgetExceeded, Governor, Guard
@@ -130,49 +114,8 @@ def _fire(
     if guard is not None:
         guard.checkpoint(stats)
     use_kernels = opts.use_kernels
-    injector_armed = guard is not None and guard.governor.injector is not None
-    if use_kernels and injector_armed and guard.kernel_fault(stats, head_pred):
-        # a kernel-compile fault fails the whole codegen tier: batch
-        # kernels ride on it, so both fall to the interpreter
-        use_kernels = False
-    if use_kernels and getattr(opts, "use_columnar", True) and not opts.record_provenance:
-        if injector_armed and guard.columnar_fault(stats):
-            stats.columnar_fallbacks += 1
-        else:
-            vkernel = vector_rule_kernel(cr, plan_id, use_indexes=opts.use_indexes)
-            if vkernel is not None:
-                packed = vkernel(db, stats, delta)
-                if packed is not None:
-                    # the vectorized fast path committed (it charges
-                    # the same counters as the batch kernel would)
-                    stats.kernel_launches += 1
-                    if len(packed):
-                        _absorb_packed(rel, head_pred, packed, stats, added)
-                    return
-            bkernel = batch_rule_kernel(cr, plan_id, use_indexes=opts.use_indexes)
-            if bkernel is None:
-                # order-dependent shape: this rule runs on the tuple
-                # kernel (the columnar→tuple degradation-ladder rung)
-                stats.columnar_fallbacks += 1
-            elif plan_id is None and (
-                batch_cold_debt(cr, None, db, use_indexes=opts.use_indexes)
-                > _COLD_DEBT_LIMIT
-            ):
-                # one-shot firing over cold encodings: the tuple kernel
-                # reads the raw structures directly, dodging the encode
-                # debt; counters are identical on either rung
-                stats.columnar_fallbacks += 1
-            else:
-                stats.kernel_launches += 1
-                produced = bkernel(db, stats, delta)
-                if produced:
-                    _absorb_batch(rel, head_pred, produced, stats, added)
-                return
-    cur = added.get(head_pred)
-    if type(cur) is PackedDelta:
-        # falling to a row-at-a-time tier: materialize the packed
-        # frontier a sibling rule's vectorized absorb left this round
-        added[head_pred] = set(cur)
+    if use_kernels and guard is not None and guard.governor.injector is not None:
+        use_kernels = not guard.kernel_fault(stats, head_pred)
     if use_kernels:
         kernel = rule_kernel(
             cr,
@@ -230,124 +173,6 @@ def _fire(
                 provenance[(head_pred, values)] = Justification(cr.rule_index, body)
         else:
             stats.duplicates += 1
-
-
-class PackedDelta:
-    """One predicate's round frontier kept packed (int64 per row).
-
-    The vectorized absorb path appends each rule's fresh chunk in
-    derivation order; the next round's :meth:`DeltaIndex.from_packed`
-    consumes the concatenation directly, so a fully vectorized fixpoint
-    never materializes frontier tuples.  Iteration decodes — the escape
-    hatch for raw consumers (seeded-unit propagation, mixed-tier
-    rounds).
-    """
-
-    __slots__ = ("relation", "chunks")
-
-    def __init__(self, relation):
-        self.relation = relation
-        self.chunks: list = []
-
-    def __len__(self) -> int:
-        return sum(len(c) for c in self.chunks)
-
-    def __iter__(self):
-        return iter(self.relation.decode_packed(self.packed()))
-
-    def packed(self):
-        chunks = self.chunks
-        return chunks[0] if len(chunks) == 1 else _np.concatenate(chunks)
-
-
-def _frontier(rows) -> DeltaIndex:
-    """Wrap one predicate's round frontier as a DeltaIndex, keeping a
-    packed frontier packed."""
-    if type(rows) is PackedDelta:
-        return DeltaIndex.from_packed(rows.packed(), rows.relation)
-    return DeltaIndex(rows)
-
-
-def _absorb_packed(rel, head_pred, produced, stats, added) -> None:
-    """Insert a vectorized kernel's packed head rows.
-
-    Mirrors :func:`_absorb_batch` in id space, one level down, with no
-    per-row python: ``np.unique`` performs in-batch first-occurrence
-    dedup (its index array restores production order, which equals
-    tuple-kernel yield order), membership is a Bloom prefilter backed
-    by precise probes of the relation's sorted packed runs
-    (:meth:`Relation.packed_novel_mask`), and the fresh rows enter
-    the relation deferred (:meth:`Relation.add_packed_deferred`) and
-    the frontier packed (:class:`PackedDelta`).  When runs are
-    unavailable (a constant id past the packing bound), the rows are
-    unpacked and handed to the tuple-at-a-time absorb unchanged.
-    """
-    if rel.packed_runs() is None:
-        _absorb_batch(
-            rel, head_pred, unpack_rows(produced, rel.arity), stats, added
-        )
-        return
-    n = len(produced)
-    uniq = _np.sort(produced)
-    first = None
-    if n > 1 and not (uniq[1:] != uniq[:-1]).all():
-        # in-batch duplicates: redo with the (costlier) index form so
-        # first-occurrence order can be restored below
-        uniq, first = _np.unique(produced, return_index=True)
-    mask = rel.packed_novel_mask(uniq)
-    k = int(mask.sum())
-    stats.duplicates += n - k
-    if not k:
-        return
-    stats.facts_derived += k
-    fresh_sorted = uniq[mask]
-    if k == n:
-        fresh_ordered = produced
-    elif first is None:
-        # no in-batch dups: order within the round is production order,
-        # so dropping the already-known rows keeps it
-        fresh_ordered = produced[mask[uniq.searchsorted(produced)]]
-    else:
-        fresh_ordered = produced[_np.sort(first[mask])]
-    rel.add_packed_deferred(fresh_ordered, fresh_sorted)
-    cur = added.get(head_pred)
-    if cur is None:
-        added[head_pred] = cur = PackedDelta(rel)
-        cur.chunks.append(fresh_ordered)
-    elif type(cur) is PackedDelta:
-        cur.chunks.append(fresh_ordered)
-    else:
-        # a row-at-a-time tier already left a raw frontier set for this
-        # predicate this round; join it
-        cur.update(rel.decode_packed(fresh_ordered))
-
-
-def _absorb_batch(rel, head_pred, produced, stats, added) -> None:
-    """Insert a batch kernel's encoded head tuples.
-
-    Deduplication happens entirely in id space: ``dict.fromkeys``
-    uniquifies preserving first-occurrence order (= tuple-kernel yield
-    order), the store's row set drops already-known facts, and only
-    the genuinely new rows are decoded and inserted — in order, so raw
-    set insertion history and index posting order stay bit-identical
-    to the per-yield tuple path.
-    """
-    store = rel.column_store()
-    row_set = store.row_set
-    fresh = [enc for enc in dict.fromkeys(produced) if enc not in row_set]
-    stats.duplicates += len(produced) - len(fresh)
-    if not fresh:
-        return
-    stats.facts_derived += len(fresh)
-    rows = rel.add_encoded_batch(fresh)
-    cur = added.get(head_pred)
-    if cur is None:
-        cur = added[head_pred] = set()
-    elif type(cur) is PackedDelta:
-        # a vectorized absorb left this predicate's round frontier
-        # packed; materialize it once and continue raw
-        cur = added[head_pred] = set(cur)
-    cur.update(rows)
 
 
 def _builtins_hold(cr: CompiledRule, subst: dict) -> bool:
@@ -509,7 +334,7 @@ def _seminaive_loop(
         # One shared DeltaIndex per changed predicate: every rule
         # specialization probing that frontier this round reuses the
         # same lazily built position groupings.
-        previous = {p: _frontier(rows) for p, rows in delta.items() if rows}
+        previous = {p: DeltaIndex(rows) for p, rows in delta.items() if rows}
         if replanner is not None:
             # Adaptive replanning: fold this round's true frontier
             # cardinalities into the decayed estimates; every
@@ -632,7 +457,7 @@ def run_seeded_unit(
     }
 
     guard.iteration(stats)
-    previous = {p: _frontier(rows) for p, rows in seeds.items() if rows}
+    previous = {p: DeltaIndex(rows) for p, rows in seeds.items() if rows}
     delta: dict[str, set] = {}
     for cr, delta_literals in seeded_spec:
         for i, predicate in delta_literals:
@@ -654,7 +479,7 @@ def run_seeded_unit(
             stats.unit_early_exits += 1
             break
         guard.iteration(stats, delta)
-        previous = {p: _frontier(rows) for p, rows in delta.items() if rows}
+        previous = {p: DeltaIndex(rows) for p, rows in delta.items() if rows}
         delta = {}
         for cr in active:
             if id(cr) not in alive:

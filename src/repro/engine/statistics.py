@@ -51,22 +51,6 @@ class EvalStats:
     #: the only counter allowed to differ between the kernel and
     #: interpreter paths — everything else is bit-identical.
     kernel_launches: int = 0
-    #: Batch-kernel pipeline stages executed with a non-empty context
-    #: batch (0 on the tuple-kernel and interpreter paths).  Like
-    #: ``kernel_launches`` this is engine-variant: it measures how much
-    #: work ran columnar, not how much join work was done.
-    batch_probes: int = 0
-    #: Contexts produced by batch-kernel stages (the columnar analogue
-    #: of per-tuple loop iterations; engine-variant).
-    batch_rows: int = 0
-    #: Size of the process-wide constant dictionary after the run
-    #: (merged with ``max``, not summed; 0 unless the columnar plane
-    #: was active).
-    dict_size: int = 0
-    #: Rules routed to the tuple kernel because no batch kernel could
-    #: be compiled (order-dependent shape) or a ``columnar`` fault was
-    #: injected (engine-variant).
-    columnar_fallbacks: int = 0
     #: Rule bodies ordered by the cost model's DP search (0 with
     #: ``--no-cost-planner``, on a prepared-cache hit — the cached
     #: plans carry no new costing work — and for bodies the model
@@ -122,7 +106,7 @@ class EvalStats:
     #: WAL batches replayed through the seeded IVM path during
     #: :func:`~repro.engine.recovery.recover` (0 outside recovery).
     wal_replays: int = 0
-    #: Columnar snapshots written (baseline, policy-triggered, and
+    #: Snapshots written (baseline, policy-triggered, and
     #: forced ``.checkpoint`` snapshots all count).
     snapshots_written: int = 0
     #: Wall-clock milliseconds spent inside :func:`recover` building
@@ -147,6 +131,20 @@ class EvalStats:
     #: fact counts and answers — as a sound lower bound, not the
     #: complete least fixpoint.
     aborted_reason: Optional[str] = None
+
+    # perfbench compatibility — drop with the next benchmark PR.  The
+    # columnar tier's counters are gone; these read as zero.
+    @property
+    def batch_rows(self) -> int:
+        return 0
+
+    @property
+    def batch_probes(self) -> int:
+        return 0
+
+    @property
+    def columnar_fallbacks(self) -> int:
+        return 0
 
     @property
     def derivations(self) -> int:
@@ -179,11 +177,6 @@ class EvalStats:
         self.scan_fallbacks += other.scan_fallbacks
         self.rules_retired += other.rules_retired
         self.kernel_launches += other.kernel_launches
-        self.batch_probes += other.batch_probes
-        self.batch_rows += other.batch_rows
-        if other.dict_size > self.dict_size:
-            self.dict_size = other.dict_size
-        self.columnar_fallbacks += other.columnar_fallbacks
         self.plans_costed += other.plans_costed
         self.replans += other.replans
         if other.bound_overestimate_max > self.bound_overestimate_max:
@@ -231,10 +224,6 @@ class EvalStats:
             "scan_fallbacks": self.scan_fallbacks,
             "rules_retired": self.rules_retired,
             "kernel_launches": self.kernel_launches,
-            "batch_probes": self.batch_probes,
-            "batch_rows": self.batch_rows,
-            "dict_size": self.dict_size,
-            "columnar_fallbacks": self.columnar_fallbacks,
             "plans_costed": self.plans_costed,
             "replans": self.replans,
             "bound_overestimate_max": self.bound_overestimate_max,
@@ -260,12 +249,6 @@ class EvalStats:
         }
         if engine_invariant:
             del out["kernel_launches"]
-            # the columnar counters measure which path ran, not how
-            # much join work was done, so they differ by construction
-            del out["batch_probes"]
-            del out["batch_rows"]
-            del out["dict_size"]
-            del out["columnar_fallbacks"]
             # the planner counters measure which planner ran (and how
             # often it re-ranked), not how much join work resulted;
             # prepared-cache hits alone make them configuration-variant
@@ -296,11 +279,6 @@ class EvalStats:
             f"kernels={self.kernel_launches} units={self.units_scheduled} "
             f"unit_exits={self.unit_early_exits}"
         )
-        if self.batch_probes or self.dict_size or self.columnar_fallbacks:
-            line += (
-                f" batches={self.batch_probes} batch_rows={self.batch_rows} "
-                f"dict={self.dict_size} col_fallbacks={self.columnar_fallbacks}"
-            )
         if self.plans_costed or self.replans:
             line += (
                 f" plans_costed={self.plans_costed} replans={self.replans} "

@@ -321,7 +321,6 @@ class TestPlannerIntegration:
         [
             {},
             {"use_kernels": False},
-            {"use_columnar": False},
             {"use_indexes": False},
             {"use_scc": False},
             {"use_cost_planner": False},

@@ -23,6 +23,17 @@ class TestCodeRegistry:
             assert info.name == info.name.lower()
             assert " " not in info.name  # kebab-case labels
 
+    def test_retired_code_stays_registered_but_never_fires(self):
+        from repro.analysis import lint_program
+        from repro.datalog import parse
+
+        assert [c for c, i in CODES.items() if i.retired] == ["DL016"]
+        # the program shape DL016 used to flag: a boolean query over
+        # many distinct in-program constants
+        rules = "\n".join(f"hit() :- item({i})." for i in range(40))
+        report = lint_program(parse(f"{rules}\n?- hit()."))
+        assert "DL016" not in report.codes()
+
     def test_severity_spread(self):
         by = {s: [c for c, i in CODES.items() if i.severity is s] for s in Severity}
         assert "DL001" in by[Severity.ERROR]

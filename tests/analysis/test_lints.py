@@ -1,7 +1,8 @@
 """Per-code trigger and non-trigger tests for every program lint.
 
-Each diagnostic code DL001–DL017 gets at least one program that
-produces it and one near-identical program that must not.
+Each live diagnostic code DL001–DL017 gets at least one program that
+produces it and one near-identical program that must not.  DL016 is
+retired (see ``tests/analysis/test_diagnostics.py``).
 """
 
 from repro.analysis import Severity, lint_program
@@ -212,44 +213,6 @@ class TestDL015FactInProgram:
 
     def test_pure_rules_clean(self):
         assert "DL015" not in codes(CLEAN)
-
-
-def _boolean_query_program(n_constants):
-    """A zero-arity query whose rules mention *n_constants* distinct
-    constants (one membership rule per constant)."""
-    rules = "\n".join(
-        f"hit() :- item({i})." for i in range(n_constants)
-    )
-    return f"{rules}\n?- hit()."
-
-
-class TestDL016DictionaryOverhead:
-    def test_boolean_query_over_many_constants(self):
-        from repro.analysis.lints import DICTIONARY_OVERHEAD_THRESHOLD
-
-        d = diag_for(
-            _boolean_query_program(DICTIONARY_OVERHEAD_THRESHOLD + 1),
-            "DL016",
-        )
-        assert d.severity is Severity.WARNING
-        assert "--no-columnar" in (d.hint or "")
-
-    def test_small_constant_universe_clean(self):
-        from repro.analysis.lints import DICTIONARY_OVERHEAD_THRESHOLD
-
-        assert "DL016" not in codes(
-            _boolean_query_program(DICTIONARY_OVERHEAD_THRESHOLD)
-        )
-
-    def test_non_boolean_query_clean(self):
-        # same constant universe, but the query returns rows the
-        # encoding work amortizes over
-        rules = "\n".join(f"hit(X) :- item(X, {i})." for i in range(40))
-        assert "DL016" not in codes(f"{rules}\n?- hit(X).")
-
-    def test_repeated_constants_count_once(self):
-        rules = "\n".join("hit() :- item(1)." for _ in range(40))
-        assert "DL016" not in codes(f"{rules}\n?- hit().")
 
 
 class TestDL017BoundBlowup:

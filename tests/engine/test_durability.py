@@ -3,8 +3,9 @@
 The recovery *oracle* (``tests/oracle/test_recovery.py``) proves
 end-to-end bit-identity across crash points; this suite pins the
 mechanism — frame layout, fsync policies, torn-tail tolerance vs
-mid-file refusal, compaction retention, the degradation rungs, and the
-interaction between snapshots and the interning dictionary's epochs.
+mid-file refusal, compaction retention, the degradation rungs,
+type-exact snapshot round-trips, and logs written under the older flag
+signature.
 """
 
 import json
@@ -20,7 +21,6 @@ from repro.datalog import (
     RecoveryError,
     parse,
 )
-from repro.datalog.columnar import global_dictionary
 from repro.engine import (
     DurabilityConfig,
     EngineOptions,
@@ -37,7 +37,7 @@ from repro.engine import (
     read_wal,
     recover,
 )
-from repro.engine.durability import _FRAME, WAL_MAGIC, program_signature
+from repro.engine.durability import _FRAME, program_signature, write_snapshot
 from repro.engine.statistics import EvalStats
 
 TC = """
@@ -55,6 +55,11 @@ def program():
 @pytest.fixture
 def edb():
     return Database.from_dict({"edge": [(1, 2), (2, 3)]})
+
+
+def _typed(rows) -> set:
+    """Rows with every value tagged by its exact type."""
+    return {tuple((type(v), v) for v in row) for row in rows}
 
 
 def _config(tmp_path, **kw):
@@ -272,11 +277,10 @@ class TestSnapshots:
     def test_snapshot_survives_epoch_clear_and_prepared_cache(
         self, tmp_path, program, edb
     ):
-        """The satellite: a snapshot written under one interning epoch
-        loads bit-identically after the dictionary is cleared (epoch
-        bump + id reassignment) and the prepared-program cache is
-        dropped — snapshots decode through their embedded table, never
-        the process dictionary."""
+        """A snapshot decodes through its own embedded value table, so
+        it loads bit-identically in a process state that shares nothing
+        with the writer's: here the prepared-program cache is dropped
+        between write and load."""
         cfg = _config(tmp_path, snapshot_every=0)
         s = IncrementalSession(program, edb, durable=cfg)
         s.insert({"edge": [("a", "b"), (3, "a")]})
@@ -285,12 +289,7 @@ class TestSnapshots:
         want_edge = s.facts("edge")
         s.close()
 
-        global_dictionary().clear()
         clear_prepared_cache()
-        # grow the fresh dictionary so ids are *reassigned*, not just
-        # absent — any decode through the live dictionary would skew
-        for v in ("zz", 99, "yy", 7, "b", 3):
-            global_dictionary().intern(v)
 
         snap = load_snapshot(list_snapshots(cfg)[0])
         assert snap.db.rows("tc") == want_tc
@@ -299,10 +298,32 @@ class TestSnapshots:
         r, report = recover(program, cfg)
         assert report.source == "replay"
         assert r.facts("tc") == want_tc
-        # and the recovered session evaluates correctly under the new
-        # epoch (columnar images rebuild lazily)
+        # and the recovered session keeps maintaining correctly
         r.insert({"edge": [("b", "c")]})
         assert ("a", "c") in r.facts("tc")
+        r.close()
+
+    def test_round_trip_is_type_exact(self, tmp_path):
+        """``1 == True == 1.0`` in Python, but they are distinct
+        constants: a snapshot must not fold them into one value."""
+        program = parse(
+            "tc(X, Y) :- edge(X, Y).\n"
+            "tc(X, Y) :- edge(X, Z), tc(Z, Y).\n"
+            "?- tc(X, Y).\n"
+        )
+        edb = Database.from_dict({"edge": [(1, 2), (True, 3), (3, 4)]})
+        cfg = _config(tmp_path, snapshot_every=0)
+        s = IncrementalSession(program, edb, durable=cfg)
+        s.insert({"edge": [(1.0, 5), (5, False)]})
+        s.checkpoint()
+        live = _typed(s.query())
+        s.close()
+        assert ((bool, True), (int, 4)) in live
+        assert ((float, 1.0), (bool, False)) in live
+
+        r, report = recover(program, cfg)
+        assert report.source == "replay"
+        assert _typed(r.query()) == live
         r.close()
 
     def test_truncated_snapshot_detected(self, tmp_path, program, edb):
@@ -363,6 +384,56 @@ class TestRecoveryRungs:
         assert rep2.source == "replay"
         assert r2.facts("tc") == want
         r2.close()
+
+    @staticmethod
+    def _rewrite_flags(cfg, flags):
+        """Rewrite the WAL and every snapshot under *flags*, keeping
+        their contents."""
+        for path in list_snapshots(cfg):
+            snap = load_snapshot(path)
+            write_snapshot(
+                cfg, snap.seq, snap.db, snap.initial, flags, snap.program,
+                snap.dirty,
+            )
+        data = read_wal(cfg.wal_path)
+        wal = WriteAheadLog.create(
+            cfg.wal_path, "off", flags, data.header["program"], data.base_seq
+        )
+        for record in data.records:
+            wal.append(record["kind"], record["facts"])
+        wal.close()
+
+    def test_old_signature_with_use_columnar_recovers(
+        self, tmp_path, program, edb
+    ):
+        """Logs and snapshots written while ``use_columnar`` was an
+        engine flag carry it in their signature; that clause alone is
+        not drift."""
+        cfg = _config(tmp_path, snapshot_every=0)
+        s = IncrementalSession(program, edb, durable=cfg)
+        s.insert({"edge": [(3, 4)]})
+        want = s.facts("tc")
+        s.close()
+        current = flag_signature(EngineOptions())
+        old = current.replace(
+            "use_kernels=True;", "use_kernels=True;use_columnar=True;"
+        )
+        assert old != current
+        self._rewrite_flags(cfg, old)
+        assert read_wal(cfg.wal_path).header["flags"] == old
+
+        r, report = recover(program, cfg)
+        assert report.source == "replay"
+        assert report.replayed_batches == 1
+        assert r.facts("tc") == want
+        r.insert({"edge": [(4, 5)]})
+        assert (1, 5) in r.facts("tc")
+        r.close()
+
+        # a real drift under the old signature is still refused
+        with pytest.raises(RecoveryError) as exc:
+            recover(program, cfg, EngineOptions(use_kernels=False))
+        assert exc.value.reason == "flag-drift"
 
     def test_program_drift_always_refused(self, tmp_path, program, edb):
         cfg = _config(tmp_path, on_flag_drift="scratch")

@@ -1,8 +1,8 @@
 """Fault injection and the graceful-degradation ladder.
 
 Every recoverable fault must step the engine down exactly one rung —
-columnar→tuple-kernel, kernel→interpreter, index→scan, SCC→monolithic,
-parallel→sequential — and still produce the exact fixpoint.  A genuine worker exception
+kernel→interpreter, index→scan, SCC→monolithic, parallel→sequential —
+and still produce the exact fixpoint.  A genuine worker exception
 (``unit-error``) must surface verbatim: no deadlock, no swallowed
 future, no wrapping that loses the original message.
 """
@@ -43,42 +43,6 @@ def expected():
 
 
 class TestDegradationLadder:
-    def test_columnar_fault_falls_back_to_tuple_kernels(self, expected):
-        plan = FaultPlan(columnar=True)
-        faulted = evaluate(
-            parse(PROGRAM), edb(), EngineOptions(fault_plan=plan)
-        )
-        clean = evaluate(parse(PROGRAM), edb())
-        assert faulted.answers() == expected
-        # every rule ran, but on the tuple kernels: no batch work, and
-        # each routed firing counted as a columnar fallback
-        assert faulted.stats.batch_probes == 0
-        assert faulted.stats.batch_rows == 0
-        assert faulted.stats.columnar_fallbacks > 0
-        assert faulted.stats.kernel_launches > 0
-        assert faulted.stats.degradations == {"columnar->tuple": 1}
-        assert faulted.stats.faults_injected == 1
-        assert not faulted.is_partial
-        # the rung below is intact: engine-invariant work is identical
-        # (modulo the fault bookkeeping the injection itself performs)
-        injection_keys = {"faults_injected", "governor_checks"}
-        faulted_work = faulted.stats.as_dict(engine_invariant=True)
-        clean_work = clean.stats.as_dict(engine_invariant=True)
-        for key in injection_keys:
-            faulted_work.pop(key), clean_work.pop(key)
-        assert faulted_work == clean_work
-
-    def test_columnar_fault_is_a_noop_without_the_columnar_plane(self, expected):
-        plan = FaultPlan(columnar=True)
-        result = evaluate(
-            parse(PROGRAM),
-            edb(),
-            EngineOptions(use_columnar=False, fault_plan=plan),
-        )
-        assert result.answers() == expected
-        assert result.stats.degradations == {}
-        assert result.stats.columnar_fallbacks == 0
-
     def test_kernel_fault_falls_back_to_interpreter(self, expected):
         plan = FaultPlan(kernel_compile=frozenset(["*"]))
         result = evaluate(
@@ -158,20 +122,6 @@ class TestDegradationLadder:
             "index->scan",
             "parallel->sequential",
         }
-
-    def test_columnar_and_kernel_faults_stack_to_interpreter(self, expected):
-        """Both codegen rungs at once: the run lands on the plan
-        interpreter and still reaches the exact fixpoint."""
-        plan = FaultPlan(columnar=True, kernel_compile=frozenset(["*"]))
-        result = evaluate(
-            parse(PROGRAM), edb(), EngineOptions(fault_plan=plan)
-        )
-        assert result.answers() == expected
-        assert result.stats.batch_probes == 0
-        assert result.stats.kernel_launches == 0
-        # kernel-compile fires first at every rule, so the columnar
-        # rung is never separately consulted
-        assert set(result.stats.degradations) == {"kernel->interpreter"}
 
     def test_slow_unit_changes_nothing_but_time(self, expected):
         plan = FaultPlan(slow_unit=0, slow_s=0.01)
@@ -275,7 +225,6 @@ class TestFaultSpecParsing:
     def test_round_trip_all_specs(self):
         plan = parse_fault_specs(
             [
-                "columnar",
                 "kernel-compile:tc1",
                 "index-build",
                 "scheduler",
@@ -285,7 +234,6 @@ class TestFaultSpecParsing:
             ]
         )
         assert plan.kernel_compile == frozenset(["tc1"])
-        assert plan.columnar
         assert plan.index_build and plan.scheduler
         assert plan.worker_death == 2
         assert plan.unit_error == 3
@@ -300,7 +248,9 @@ class TestFaultSpecParsing:
         assert not parse_fault_specs([]).any()
 
     @pytest.mark.parametrize(
-        "spec", ["bogus", "worker-death", "worker-death:x", "slow-unit:0:x"]
+        "spec",
+        # "columnar" named the retired columnar->tuple rung
+        ["bogus", "columnar", "worker-death", "worker-death:x", "slow-unit:0:x"],
     )
     def test_bad_specs_rejected(self, spec):
         with pytest.raises(EvaluationError):

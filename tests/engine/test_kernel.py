@@ -44,7 +44,10 @@ class TestKernelSource:
     def test_index_lookup_emitted_directly(self):
         cr = _compiled("h(X, Z) :- a(X, Y), b(Y, Z).")
         src = kernel_source(cr)
-        assert ".lookup((0,)," in src
+        # the index is fetched once, at the step's first probe, and
+        # probed with a plain dict lookup afterwards
+        assert ".index_for((0,))" in src
+        assert ".get((r" in src
         assert "index_probes" in src
 
     def test_existential_cut_emits_break(self):

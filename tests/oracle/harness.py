@@ -21,11 +21,6 @@ Strategies covered:
     CLI's ``--no-scc``): each stratum runs as one monolithic semi-naive
     fixpoint — the pre-scheduler engine, so unit scheduling is
     differentially tested against the loop it replaced.
-``tuple-kernel``
-    The scheduled engine with the columnar batch kernels disabled
-    (``use_columnar=False``, the CLI's ``--no-columnar``), so every
-    batch kernel is differentially tested against the tuple kernel it
-    replaced.
 ``seminaive-interp``
     The scheduled engine on the plan interpreter (``use_kernels=False``,
     the CLI's ``--no-kernel``), so every generated kernel is
@@ -59,10 +54,13 @@ against every engine, not just the default one.
 The ``REPRO_ORACLE_BASE`` environment variable overlays base engine
 options under every strategy (strategy-specific overrides win), e.g.
 ``REPRO_ORACLE_BASE=no-kernel,parallel=4`` re-runs the whole oracle
-suite with the interpreter and a 4-thread unit scheduler, and
-``REPRO_ORACLE_BASE=no-columnar`` sweeps it on the tuple kernels with
-the batch plane off.  CI uses this to sweep the engine flag matrix
-without duplicating the suite.
+suite with the interpreter and a 4-thread unit scheduler.  CI uses this
+to sweep the engine flag matrix without duplicating the suite.
+
+Answer sets are compared **type-exactly**: Python's ``1 == True ==
+1.0`` would let a strategy that returns ``(1, 3)`` pass against one
+that returns ``(True, 3)``, so every value is tagged with its type
+before comparing.
 """
 
 from __future__ import annotations
@@ -80,6 +78,7 @@ __all__ = [
     "engine_options",
     "strategy_answers",
     "assert_all_agree",
+    "typed",
 ]
 
 #: label -> EngineOptions overrides for the bottom-up engine
@@ -87,7 +86,6 @@ STRATEGIES: dict[str, dict] = {
     "naive": {"strategy": "naive"},
     "scc-scheduler": {},
     "seminaive-monolithic": {"use_scc": False},
-    "tuple-kernel": {"use_columnar": False},
     "seminaive-interp": {"use_kernels": False},
     "seminaive-scan": {"use_indexes": False},
     "seminaive-scan-interp": {"use_indexes": False, "use_kernels": False},
@@ -107,8 +105,6 @@ def _base_overrides() -> dict:
             out["use_kernels"] = False
         elif token == "no-index":
             out["use_indexes"] = False
-        elif token == "no-columnar":
-            out["use_columnar"] = False
         elif token == "no-cost-planner":
             out["use_cost_planner"] = False
         elif token.startswith("parallel="):
@@ -137,14 +133,22 @@ def strategy_answers(program: Program, db: Database) -> dict[str, frozenset]:
     return out
 
 
+def typed(rows) -> frozenset:
+    """*rows* with every value tagged by its exact type, so equal-but-
+    differently-typed constants (``1``, ``True``, ``1.0``) differ."""
+    return frozenset(tuple((type(v), v) for v in row) for row in rows)
+
+
 def _assert_agree(answers: dict[str, frozenset], context: str) -> None:
     baseline_label, baseline = next(iter(answers.items()))
+    want = typed(baseline)
     for label, got in answers.items():
-        assert got == baseline, (
+        have = typed(got)
+        assert have == want, (
             f"{context}: strategy {label!r} computed {len(got)} answers "
             f"but {baseline_label!r} computed {len(baseline)}; "
-            f"only-in-{label}={sorted(got - baseline)[:5]} "
-            f"only-in-{baseline_label}={sorted(baseline - got)[:5]}"
+            f"only-in-{label}={sorted(have - want, key=repr)[:5]} "
+            f"only-in-{baseline_label}={sorted(want - have, key=repr)[:5]}"
         )
 
 
@@ -169,7 +173,7 @@ def assert_all_agree(program: Program, db: Database) -> frozenset:
     _assert_agree(post, "post-optimizer")
 
     reference = result.reference_answers(db)
-    assert post["scc-scheduler"] == reference, (
+    assert typed(post["scc-scheduler"]) == typed(reference), (
         f"optimizer changed the answers: optimized={len(post['scc-scheduler'])} "
         f"reference={len(reference)}"
     )

@@ -11,12 +11,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.datalog import Database, parse
 from repro.workloads.edb import random_edb
 from repro.workloads.families import all_families
 from repro.workloads.paper_examples import example1_program
 
 from ..property.strategies import random_programs
-from .harness import STRATEGIES, assert_all_agree, strategy_answers
+from .harness import STRATEGIES, assert_all_agree, strategy_answers, typed
 
 FAMILIES = all_families()
 
@@ -33,6 +34,19 @@ def test_oracle_on_example1():
     program = example1_program()
     db = random_edb(program, rows=20, domain=8, seed=0)
     assert_all_agree(program, db)
+
+
+def test_oracle_on_mixed_type_constants():
+    """``1 == True`` in Python, but they are distinct constants: every
+    strategy must answer ``(True, 3)``, not ``(1, 3)``."""
+    program = parse(
+        "tc(X, Y) :- edge(X, Y).\n"
+        "tc(X, Y) :- edge(X, Z), tc(Z, Y).\n"
+        "?- tc(X, Y).\n"
+    )
+    db = Database.from_dict({"edge": [(1, 2), (True, 3)]})
+    answers = assert_all_agree(program, db)
+    assert typed(answers) == typed({(1, 2), (True, 3)})
 
 
 def test_strategy_catalog_is_exercised():

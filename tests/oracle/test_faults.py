@@ -45,8 +45,6 @@ WORKLOADS = ["right_linear_tc", "sibling_components", "win_move_stratified"]
 
 FAULT_PLANS = {
     "none": FaultPlan(),
-    "columnar": FaultPlan(columnar=True),
-    "columnar-stacked": FaultPlan(columnar=True, index_build=True),
     "kernel-all": FaultPlan(kernel_compile=frozenset(["*"])),
     "kernel-one": FaultPlan(kernel_compile=frozenset(["tc"])),
     "index": FaultPlan(index_build=True),

@@ -15,7 +15,7 @@ order — the fixpoint, not the rounds, is the planner's contract.)
 
 Like every oracle module it honours ``REPRO_ORACLE_BASE``, so CI's
 flag matrix sweeps the planner differential across the kernel /
-index / columnar / scheduler axes too.
+index / scheduler axes too.
 """
 
 import pytest

@@ -22,7 +22,7 @@ applies one more batch after recovery and re-checks.
 
 Like the differential IVM oracle, the suite honours the suite-wide
 ``REPRO_ORACLE_BASE`` overlays, so CI sweeps the crash matrix under
-no-columnar / no-scc / no-kernel engines through these same tests.
+no-scc / no-kernel engines through these same tests.
 """
 
 import os
