@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 from .core.pipeline import optimize
 from .datalog import Database, Program, ReproError, parse
-from .datalog.parser import split_facts
+from .datalog.parser import parse_atom, split_facts
 from .engine import (
     EngineOptions,
     IncrementalSession,
@@ -160,6 +160,7 @@ def _cmd_serve(args) -> int:
         -edge(1, 2).               apply the facts as one retract batch
         ?                          print the program query's answers
         ? pred                     print the stored rows of a predicate
+        ? tc(5, Y).                print one query atom's answers
         .stats                     cumulative session counters (stderr)
         .last                      last batch's counters (stderr)
         .refresh                   re-run fixpoint (restores exactness
@@ -284,8 +285,11 @@ def _cmd_serve(args) -> int:
                     )
                     continue
                 if line == "?" or line.startswith("? "):
-                    pred = line[1:].strip()
-                    rows = session.facts(pred) if pred else session.answers()
+                    text = line[1:].strip()
+                    if "(" in text:
+                        rows = session.query(parse_atom(text))
+                    else:
+                        rows = session.facts(text) if text else session.answers()
                     for row in sorted(rows, key=repr):
                         print(", ".join(map(str, row)))
                     if session.is_partial:

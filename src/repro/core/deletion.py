@@ -327,7 +327,8 @@ def chase_deletable(
         edb = Database.from_facts(ground_body)
         result = evaluate(remaining, edb, options)
         required = tuple(ground_head.args[j].value for j in representatives)  # type: ignore[union-attr]
-        if required not in result.facts(query_pred):
+        derived = result.db.relation(query_pred)
+        if derived is None or required not in derived:
             return None
     return f"uniform-query-equivalence chase (head {head_pred}, {len(sigma_set)} summaries)"
 
@@ -438,6 +439,10 @@ def delete_rules(
     report = cascade(program)
     deleted.extend(report.deleted)
     program = report.program
+    # Deletions and the cascade only ever remove rules, and a positive
+    # program's fixpoint is monotone in its rule set: a rule that failed
+    # Sagiv's test here fails it on every later sub-program too.
+    sagiv_failed: set[Rule] = set()
 
     progress = True
     while progress:
@@ -446,8 +451,12 @@ def delete_rules(
         plain = program.to_program()
         for ri in range(len(program.rules)):
             reason = None
-            if use_sagiv and program.rules[ri].body and rule_deletable_uniform(plain, ri):
-                reason = "sagiv uniform equivalence"
+            rule = plain.rules[ri]
+            if use_sagiv and rule.body and rule not in sagiv_failed:
+                if rule_deletable_uniform(plain, ri):
+                    reason = "sagiv uniform equivalence"
+                else:
+                    sagiv_failed.add(rule)
             if reason is None:
                 reason = test(program, ri, summaries)
             if reason is None and use_chase:

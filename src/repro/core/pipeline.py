@@ -32,7 +32,7 @@ from typing import Optional
 from ..datalog.ast import Atom, Program
 from ..datalog.database import Database
 from ..datalog.terms import Variable
-from ..engine.evaluator import EngineOptions, EvalResult, evaluate
+from ..engine.evaluator import EngineOptions, EvalResult, evaluate, project_rows
 from .adornment import Adornment, AdornedLiteral, AdornedProgram, adorn
 from .components import ComponentSplit, split_components
 from .deletion import DeletionReport, delete_rules
@@ -58,7 +58,7 @@ def _project_answers(query: Atom, adornment: Adornment, answers) -> frozenset[tu
         if pos in needed:
             keep.append(var_index)
         var_index += 1
-    return frozenset(tuple(row[i] for i in keep) for row in answers)
+    return project_rows(answers, tuple(keep))
 
 
 @dataclass(frozen=True)
@@ -126,9 +126,7 @@ class OptimizationResult:
         """
         raw = self.evaluate(edb, **overrides).answers()
         if self.answer_positions is not None:
-            return frozenset(
-                tuple(row[i] for i in self.answer_positions) for row in raw
-            )
+            return project_rows(raw, self.answer_positions)
         if self.final.projected:
             return raw
         return _project_answers(self.final.query.atom, self.final.query.adornment, raw)

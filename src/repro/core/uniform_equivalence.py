@@ -63,9 +63,8 @@ def _derives_frozen_head(program: Program, rule: Rule) -> bool:
     # its relation exists so the membership check is well-defined.
     edb.ensure(ground_head.predicate, ground_head.arity)
     result = evaluate(program.with_query(None), edb, _OPTIONS)
-    return ground_head.as_fact() in result.facts(ground_head.predicate) or (
-        ground_head.as_fact() in edb.rows(ground_head.predicate)
-    )
+    # evaluation only adds facts, so the result holds every input fact
+    return ground_head.as_fact() in result.db.relation(ground_head.predicate)
 
 
 def rule_deletable_uniform(program: Program, rule_index: int) -> bool:

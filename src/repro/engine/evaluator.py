@@ -29,7 +29,8 @@ loop, counter-for-counter identical to earlier releases.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from operator import itemgetter
+from typing import Collection, Optional
 
 from ..datalog.ast import Atom, Program
 from ..datalog.database import Database
@@ -258,29 +259,62 @@ class EvalResult:
         return derivation_tree(self.provenance, predicate, row)
 
 
+def project_rows(rows, positions: tuple[int, ...]) -> frozenset[tuple]:
+    """*rows* (a sized collection of tuples) projected onto *positions*
+    with C-level getters.  A one-position ``itemgetter`` returns a bare
+    value, so ``zip`` wraps it back into a 1-tuple; with no positions
+    the projection is the empty tuple when any row exists."""
+    if not positions:
+        return frozenset({()}) if rows else frozenset()
+    if len(positions) == 1:
+        return frozenset(zip(map(itemgetter(positions[0]), rows)))
+    return frozenset(map(itemgetter(*positions), rows))
+
+
 def answers_of(db: Database, query: Atom) -> frozenset[tuple]:
-    """Apply the selection/projection a query atom denotes to *db*."""
-    var_positions: list[int] = []
-    seen_vars: dict[Variable, int] = {}
+    """Apply the selection/projection a query atom denotes to *db*.
+
+    A read costs O(matching rows) when the relation already carries a
+    hash index on exactly the query's constant positions (the posting
+    list is the selection); otherwise it is one filtered pass over the
+    row set.  It never builds an index, so reads leave
+    ``index_builds`` untouched.
+    """
+    rel = db.relation(query.predicate)
+    if rel is None:
+        return frozenset()
+    if rel.arity != query.arity:
+        raise ValidationError(
+            f"query {query} has arity {query.arity}, but relation "
+            f"{query.predicate} has arity {rel.arity}"
+        )
+    const_pos: list[int] = []
+    key: list = []
+    keep: list[int] = []
+    equal: list[tuple[int, int]] = []
+    first: dict[Variable, int] = {}
     for p, arg in enumerate(query.args):
-        if isinstance(arg, Variable) and arg not in seen_vars:
-            seen_vars[arg] = p
-            var_positions.append(p)
-    out = set()
-    for row in db.rows(query.predicate):
-        ok = True
-        for p, arg in enumerate(query.args):
-            if isinstance(arg, Constant):
-                if row[p] != arg.value:
-                    ok = False
-                    break
-            else:
-                if row[seen_vars[arg]] != row[p]:
-                    ok = False
-                    break
-        if ok:
-            out.add(tuple(row[p] for p in var_positions))
-    return frozenset(out)
+        if isinstance(arg, Constant):
+            const_pos.append(p)
+            key.append(arg.value)
+        elif arg in first:
+            equal.append((first[arg], p))
+        else:
+            first[arg] = p
+            keep.append(p)
+    if not const_pos and not equal:
+        return rel.rows()
+    positions = tuple(const_pos)
+    rows: Collection[tuple]
+    if rel.has_index(positions):
+        rows = rel.index_for(positions).get(tuple(key), ())
+    else:
+        rows = rel
+        for p, c in zip(const_pos, key):
+            rows = [r for r in rows if r[p] == c]
+    for p, q in equal:
+        rows = [r for r in rows if r[p] == r[q]]
+    return project_rows(rows, tuple(keep))
 
 
 def evaluate(

@@ -51,6 +51,8 @@ its lazy hash indexes — which the generated loops read directly.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from typing import Callable, Optional
 
 from ..datalog.builtins import BUILTINS
@@ -272,25 +274,36 @@ def kernel_source(
 #: built-ins under stable names (direct calls, no dict lookup per row)
 _KERNEL_GLOBALS = {f"_bi_{name}": fn for name, fn in BUILTINS.items()}
 
-#: source text -> compiled kernel function.  The source is the cache
-#: key: it embeds predicate names, slot numbering, inlined constants,
-#: bound-position keys, and the use_indexes / record_rows flags, so two
-#: plans share a kernel exactly when they are structurally identical.
-_FN_CACHE: dict[str, Callable] = {}
+#: source text -> compiled kernel function, least recently used first.
+#: The source is the cache key: it embeds predicate names, slot
+#: numbering, inlined constants, bound-position keys, and the
+#: use_indexes / record_rows flags, so two plans share a kernel exactly
+#: when they are structurally identical.  Bounded so a long-lived
+#: process that keeps meeting new rule shapes stays flat in memory; the
+#: cap sits well above the ~1,470 kernels one round of perfbench's
+#: compile-mix workload compiles, so a round never evicts its own.
+_FN_CACHE: "OrderedDict[str, Callable]" = OrderedDict()
+_FN_CACHE_MAX = 4096
+_CACHE_LOCK = threading.Lock()
 _CACHE_STATS = {"compiles": 0, "hits": 0}
 
 
 def _compile_source(source: str) -> Callable:
-    fn = _FN_CACHE.get(source)
-    if fn is not None:
-        _CACHE_STATS["hits"] += 1
-        return fn
+    with _CACHE_LOCK:
+        fn = _FN_CACHE.get(source)
+        if fn is not None:
+            _FN_CACHE.move_to_end(source)
+            _CACHE_STATS["hits"] += 1
+            return fn
     namespace = dict(_KERNEL_GLOBALS)
     code = compile(source, "<repro-kernel>", "exec")
     exec(code, namespace)
     fn = namespace["_kernel"]
-    _FN_CACHE[source] = fn
-    _CACHE_STATS["compiles"] += 1
+    with _CACHE_LOCK:
+        _FN_CACHE[source] = fn
+        _CACHE_STATS["compiles"] += 1
+        while len(_FN_CACHE) > _FN_CACHE_MAX:
+            _FN_CACHE.popitem(last=False)
     return fn
 
 
@@ -301,9 +314,10 @@ def kernel_cache_stats() -> dict:
 
 def clear_kernel_cache() -> None:
     """Drop every compiled kernel (tests / memory pressure)."""
-    _FN_CACHE.clear()
-    _CACHE_STATS["compiles"] = 0
-    _CACHE_STATS["hits"] = 0
+    with _CACHE_LOCK:
+        _FN_CACHE.clear()
+        _CACHE_STATS["compiles"] = 0
+        _CACHE_STATS["hits"] = 0
 
 
 def rule_kernel(

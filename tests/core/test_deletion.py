@@ -223,3 +223,39 @@ class TestDriver:
             program = make()
             report = delete_rules(program)
             assert_same_answers(program, report.program, seeds=range(3))
+
+
+class TestSagivMemo:
+    """A positive program's fixpoint is monotone in its rule set, so a
+    rule that failed Sagiv's test fails it on every sub-program the
+    driver later reaches: one ``delete_rules`` call tests each rule at
+    most once."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            example7_adorned,
+            example8_adorned,
+            example9_adorned,
+            example10_adorned,
+            lambda: adorned_from_text(example5_adorned_text()),
+        ],
+        ids=["example7", "example8", "example9", "example10", "example5"],
+    )
+    def test_each_rule_tested_at_most_once(self, make, monkeypatch):
+        import repro.core.deletion as deletion
+
+        seen = []
+        real = deletion.rule_deletable_uniform
+
+        def spy(plain, ri):
+            seen.append(plain.rules[ri])
+            return real(plain, ri)
+
+        monkeypatch.setattr(deletion, "rule_deletable_uniform", spy)
+        program = make()
+        report = delete_rules(program)
+        assert seen and len(seen) == len(set(seen))
+        seen.clear()
+        assert delete_rules(program) == report  # the memo is per call
+        assert seen and len(seen) == len(set(seen))

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.datalog import Database, EvaluationError, ValidationError, parse
-from repro.engine import EngineOptions, evaluate
+from repro.engine import EngineOptions, answers_of, evaluate
 from repro.workloads.graphs import chain, complete, cycle, random_digraph
 
 
@@ -157,6 +157,24 @@ class TestAnswers:
         from repro.datalog import atom
 
         assert result.answers(atom("tc", 0, "Y")) == {(1,), (2,), (3,)}
+
+
+class TestAnswersOf:
+    """The query selection/projection over a stored relation."""
+
+    def _e(self):
+        return Database.from_dict({"e": [(1, 2), (2, 3)]})
+
+    def test_too_few_arguments_rejected(self):
+        with pytest.raises(ValidationError, match=r"e\b.*arity 1.*arity 2"):
+            answers_of(self._e(), parse("?- e(1).").query)
+
+    def test_too_many_arguments_rejected(self):
+        with pytest.raises(ValidationError, match=r"e\b.*arity 3.*arity 2"):
+            answers_of(self._e(), parse("?- e(X, Y, Z).").query)
+
+    def test_absent_relation_has_no_answers(self):
+        assert answers_of(self._e(), parse("?- ghost(1, Y).").query) == frozenset()
 
 
 class TestStats:

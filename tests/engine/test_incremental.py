@@ -17,7 +17,7 @@ from dataclasses import replace
 import pytest
 
 from repro.datalog import Database, parse
-from repro.datalog.errors import ArityError
+from repro.datalog.errors import ArityError, ValidationError
 from repro.engine import (
     EngineOptions,
     IncrementalSession,
@@ -57,6 +57,16 @@ def tc_session():
     return IncrementalSession(
         parse(TC), Database.from_dict({"edge": chain(6)})
     )
+
+
+class TestQueryArity:
+    def test_too_few_arguments_rejected(self, tc_session):
+        with pytest.raises(ValidationError, match=r"edge\b.*arity 1.*arity 2"):
+            tc_session.query(parse("?- edge(1).").query)
+
+    def test_too_many_arguments_rejected(self, tc_session):
+        with pytest.raises(ValidationError, match=r"tc\b.*arity 3.*arity 2"):
+            tc_session.query(parse("?- tc(X, Y, Z).").query)
 
 
 class TestNoOpLaws:

@@ -111,6 +111,62 @@ class TestKernelCache:
         after = kernel_cache_stats()
         assert after["compiles"] + after["hits"] > before["compiles"] + before["hits"]
 
+    def test_cache_is_a_bounded_lru(self, monkeypatch):
+        from repro.engine import kernel
+
+        cap, extra = 16, 5
+        monkeypatch.setattr(kernel, "_FN_CACHE_MAX", cap)
+        kernel.clear_kernel_cache()
+
+        def shape(i):  # a distinct kernel per i: the constant is inlined
+            return rule_kernel(_compiled(f"h(X) :- p(X, {i})."))
+
+        fns = [shape(i) for i in range(cap + extra)]
+        assert len(kernel._FN_CACHE) == cap
+        assert kernel_cache_stats() == {"compiles": cap + extra, "hits": 0}
+        assert shape(cap + extra - 1) is fns[-1]  # recent: a hit
+        assert kernel_cache_stats() == {"compiles": cap + extra, "hits": 1}
+        shape(0)  # evicted: compiled again, evicting the next oldest
+        assert kernel_cache_stats() == {"compiles": cap + extra + 1, "hits": 1}
+        assert len(kernel._FN_CACHE) == cap
+        kernel.clear_kernel_cache()
+
+    def test_lru_is_consistent_under_threads(self, monkeypatch):
+        import sys
+        import threading
+
+        from repro.engine import kernel
+
+        cap, workers, shapes = 8, 6, 40
+        monkeypatch.setattr(kernel, "_FN_CACHE_MAX", cap)
+        kernel.clear_kernel_cache()
+        sources = [kernel_source(_compiled(f"h(X) :- p(X, {i}).")) for i in range(shapes)]
+        errors = []
+
+        def work(offset):
+            try:
+                for i in range(3 * shapes):
+                    kernel._compile_source(sources[(offset + i) % shapes])
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(w,)) for w in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        stats = kernel_cache_stats()
+        assert stats["compiles"] + stats["hits"] == workers * 3 * shapes
+        assert len(kernel._FN_CACHE) <= cap
+        kernel.clear_kernel_cache()
+
     def test_unsupported_constant_falls_back_to_interpreter(self):
         from repro.datalog.ast import Atom, Rule
 

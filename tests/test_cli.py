@@ -390,6 +390,27 @@ class TestServe:
         assert any(l.startswith("ok ") for l in out)
         assert "3" in out  # the good batch after the garbage landed
 
+    def test_query_atom_read(self, files, capsys):
+        program, facts, _ = files
+        rc = _serve(
+            [program, facts],
+            ["? reach(1, Y).", "+edge(3, 9).", "? reach(1, Y).", "? reach(X, 3)",
+             "? reach(1, _)."],
+        )
+        assert rc == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out == ["2", "3", out[2], "2", "3", "9", "1", "2", "2", "3", "9"]
+        assert out[2].startswith("ok ")
+
+    def test_query_atom_wrong_arity_is_structured_error(self, files, capsys):
+        program, facts, _ = files
+        rc = _serve([program, facts], ["? reach(1).", "? edge"])
+        assert rc == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith("err ValidationError: ")
+        assert "reach" in out[0] and "arity 1" in out[0] and "arity 2" in out[0]
+        assert out[1:] == ["1, 2", "2, 3", "7, 8"]
+
     def test_undefined_predicate_rejected(self, files, capsys):
         program, facts, _ = files
         rc = _serve([program, facts], ["+ghost(1).", "?"])
