@@ -1005,6 +1005,130 @@ def report_durability() -> None:
     print(f"(wrote {DURABILITY_JSON.name})")
 
 
+#: machine-readable deletion-pass cost, regenerated by report_deletion()
+DELETION_JSON = Path(__file__).parent / "BENCH_deletion.json"
+#: timed repetitions per program; each starts from cold caches
+DELETION_REPEATS = 5
+
+
+def _deletion_programs() -> dict:
+    """Phase 3's input for every paper example and positive catalogue
+    family: the adorned program, split and projected as the pipeline
+    hands it to ``delete_rules``."""
+    from repro.core.adornment import adorn
+    from repro.core.components import split_components
+    from repro.core.projection import push_projections
+    from repro.workloads import families
+    from repro.workloads import paper_examples as pe
+
+    def projected(program):
+        return push_projections(split_components(adorn(program)).program)
+
+    programs = {
+        "example1": projected(pe.example1_program()),
+        "example2": projected(pe.example2_program()),
+        "example5": projected(pe.example5_program()),
+        "example5_adorned": pe.adorned_from_text(pe.example5_adorned_text()),
+        "example7": pe.example7_adorned(),
+        "example8": pe.example8_adorned(),
+        "example8_empty": pe.example8_empty_adorned(),
+        "example9": pe.example9_adorned(),
+        "example10": pe.example10_adorned(),
+        "example12": projected(pe.example12_original()),
+    }
+    for name, program in sorted(families.all_families().items()):
+        if not program.has_negation():  # phase 3 refuses negation
+            programs[f"family/{name}"] = projected(program)
+    return programs
+
+
+def report_deletion() -> None:
+    """Cost of one ``delete_rules`` pass; writes BENCH_deletion.json.
+
+    Per program: the chase evaluations the pass runs (Sagiv's test and
+    the Example-6 chase), the rules it plans, the whole-program
+    preparations it misses, and its wall-clock as the minimum of
+    ``DELETION_REPEATS`` cold-cache runs in this process.  The hard
+    gate is machine-independent: a pass plans each distinct rule of its
+    input at most once, however many sub-programs ``P - {r}`` it
+    evaluates.
+    """
+    import repro.core.uniform_equivalence as ue
+    from repro.core.deletion import delete_rules
+    from repro.engine import clear_prepared_cache, prepared_cache_stats
+    from repro.engine.kernel import clear_kernel_cache
+
+    chase_evals = 0
+    real = ue.evaluate_prepared
+
+    def counted(*args):
+        nonlocal chase_evals
+        chase_evals += 1
+        return real(*args)
+
+    payload = {
+        "_meta": {
+            "repeats": DELETION_REPEATS,
+            "note": "delete_ms is the min over cold-cache runs (prepared "
+            "and kernel caches cleared before each); counters are per "
+            "delete_rules call; gate: rules_planned <= distinct_rules",
+        }
+    }
+    rows = []
+    ue.evaluate_prepared = counted
+    try:
+        for name, program in _deletion_programs().items():
+            distinct = len({r.to_rule() for r in program.rules})
+            best = float("inf")
+            counters = None
+            for _ in range(DELETION_REPEATS):
+                clear_prepared_cache()
+                clear_kernel_cache()
+                chase_evals = 0
+                start = time.perf_counter()
+                report = delete_rules(program)
+                best = min(best, (time.perf_counter() - start) * 1000.0)
+                stats = prepared_cache_stats()
+                run = {
+                    "chase_evaluations": chase_evals,
+                    "rules_planned": stats["rule_misses"],
+                    "prepared_misses": stats["misses"],
+                    "distinct_rules": distinct,
+                    "rules_in": len(program.rules),
+                    "rules_out": len(report.program.rules),
+                }
+                if counters not in (None, run):
+                    VIOLATIONS.append(
+                        f"deletion: counters of {name} differ between "
+                        f"cold runs: {counters} vs {run}"
+                    )
+                counters = run
+            if counters["rules_planned"] > distinct:
+                VIOLATIONS.append(
+                    f"deletion: {name} planned {counters['rules_planned']} "
+                    f"rules for {distinct} distinct rules"
+                )
+            payload[name] = {"delete_ms": round(best, 3), **counters}
+            rows.append([
+                name, f"{counters['rules_in']}->{counters['rules_out']}",
+                counters["chase_evaluations"], counters["rules_planned"],
+                distinct, counters["prepared_misses"], fmt(best),
+            ])
+    finally:
+        ue.evaluate_prepared = real
+        clear_prepared_cache()
+    with open(DELETION_JSON, "w") as f:
+        json.dump(payload, f, indent=2, sort_keys=True)
+        f.write("\n")
+    table(
+        "DEL — one delete_rules pass: chase evaluations and planning",
+        ["program", "rules", "chase evals", "planned", "distinct",
+         "prep misses", "time"],
+        rows,
+    )
+    print(f"(wrote {DELETION_JSON.name})")
+
+
 REPORTS = {
     "e2": report_e2,
     "e3": report_e3,
@@ -1020,6 +1144,7 @@ REPORTS = {
     "governor": report_governor,
     "incremental": report_incremental,
     "durability": report_durability,
+    "deletion": report_deletion,
 }
 
 

@@ -39,15 +39,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..datalog.ast import Rule
-from ..datalog.database import Database
+from ..datalog.ast import Program, Rule
 from ..datalog.errors import TransformError
 from ..datalog.terms import Term, Variable
 from ..datalog.unify import skolemize
-from ..engine.evaluator import EngineOptions, evaluate
 from .adornment import AdornedProgram, AdornedRule
 from .argument_projection import (
     ArgumentProjection,
+    Occurrence,
     QueryRootedSummaries,
     head_body_projection,
     identity_projection,
@@ -55,7 +54,7 @@ from .argument_projection import (
     query_rooted_summaries,
     summary_closure,
 )
-from .uniform_equivalence import rule_deletable_uniform
+from .uniform_equivalence import derives, sagiv_deletable
 from .unit_rules import is_unit_rule
 
 __all__ = [
@@ -265,7 +264,6 @@ def chase_deletable(
     program: AdornedProgram,
     rule_index: int,
     summaries: Optional[QueryRootedSummaries] = None,
-    max_iterations: int = 10_000,
 ) -> Optional[str]:
     """The Example-6 uniform-query-equivalence chase test.
 
@@ -291,17 +289,31 @@ def chase_deletable(
     """
     _require_projected(program)
     _require_positive(program)
+    plain = program.to_program().validate()
+    projections = program_projections(program)
     if summaries is None:
-        summaries = query_rooted_summaries(program)
+        summaries = query_rooted_summaries(program, projections)
+    return _chase(program, plain, rule_index, summaries, projections)
+
+
+def _chase(
+    program: AdornedProgram,
+    plain: Program,
+    rule_index: int,
+    summaries: QueryRootedSummaries,
+    projections: dict[Occurrence, ArgumentProjection],
+) -> Optional[str]:
+    """:func:`chase_deletable` over a checked program; *plain* is
+    ``program.to_program()`` and *projections* its
+    :func:`program_projections`."""
     query_pred = program.query.atom.predicate
     query_arity = program.query.atom.arity
-    rule = program.rules[rule_index]
-    head_pred = rule.head.atom.predicate
+    rule = plain.rules[rule_index]
+    head_pred = rule.head.predicate
     if not rule.body:
         return None  # fact rules are data, not deletable by this test
 
     sigma_set: set[ArgumentProjection] = set()
-    projections = program_projections(program)
     for occ, proj in projections.items():
         if proj.right == head_pred:
             sigma_set.update(summaries.by_occurrence.get(occ, frozenset()))
@@ -310,27 +322,33 @@ def chase_deletable(
     if not sigma_set:
         return None  # unreachable; the cascade removes it more cheaply
 
-    remaining = program.without_rules([rule_index]).to_program()
-    plain_rule = rule.to_rule()
-    options = EngineOptions(max_iterations=max_iterations)
-
-    for sigma in sigma_set:
+    remaining = plain.without_rule(rule_index)
+    # The verdict does not depend on the order, but the number of
+    # evaluations before the first failure does: keep it independent
+    # of string hashing.
+    for sigma in sorted(sigma_set, key=_projection_order):
         try:
-            constrained = _contribution_substitution(plain_rule, sigma, query_arity)
+            constrained = _contribution_substitution(rule, sigma, query_arity)
         except _Unrealizable:
             continue
         if constrained is None:
             return None
         subst, representatives = constrained
-        instance = plain_rule.substitute(subst)
-        ground_head, ground_body, _ = skolemize(instance)
-        edb = Database.from_facts(ground_body)
-        result = evaluate(remaining, edb, options)
+        ground_head, ground_body, _ = skolemize(rule.substitute(subst))
         required = tuple(ground_head.args[j].value for j in representatives)  # type: ignore[union-attr]
-        derived = result.db.relation(query_pred)
-        if derived is None or required not in derived:
+        if not derives(remaining, ground_body, query_pred, required):
             return None
     return f"uniform-query-equivalence chase (head {head_pred}, {len(sigma_set)} summaries)"
+
+
+def _projection_order(sigma: ArgumentProjection) -> tuple:
+    return (
+        sigma.left,
+        sigma.right,
+        sorted(sigma.edges),
+        sorted(sigma.left_links),
+        sorted(sigma.right_links),
+    )
 
 
 def cascade(program: AdornedProgram) -> DeletionReport:
@@ -434,6 +452,10 @@ def delete_rules(
     if method not in ("lemma51", "lemma53"):
         raise TransformError(f"unknown deletion method {method!r}")
     test = lemma51_deletable if method == "lemma51" else lemma53_deletable
+    # The one validation of this call: deletions and the cascade only
+    # drop rules, and every sub-program of a valid positive program is
+    # valid, so the chase tests below evaluate without re-checking.
+    program.to_program().validate()
 
     deleted: list[Deletion] = []
     report = cascade(program)
@@ -447,20 +469,21 @@ def delete_rules(
     progress = True
     while progress:
         progress = False
-        summaries = query_rooted_summaries(program)
+        projections = program_projections(program)
+        summaries = query_rooted_summaries(program, projections)
         plain = program.to_program()
         for ri in range(len(program.rules)):
             reason = None
             rule = plain.rules[ri]
             if use_sagiv and rule.body and rule not in sagiv_failed:
-                if rule_deletable_uniform(plain, ri):
+                if sagiv_deletable(plain, ri):
                     reason = "sagiv uniform equivalence"
                 else:
                     sagiv_failed.add(rule)
             if reason is None:
                 reason = test(program, ri, summaries)
             if reason is None and use_chase:
-                reason = chase_deletable(program, ri, summaries)
+                reason = _chase(program, plain, ri, summaries, projections)
             if reason is not None:
                 deleted.append(Deletion(program.rules[ri], reason))
                 program = program.without_rules([ri])

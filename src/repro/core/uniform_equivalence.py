@@ -26,13 +26,18 @@ literal-deletion test of Sagiv's minimization algorithm.
 
 from __future__ import annotations
 
-from ..datalog.ast import Program, Rule
+from typing import Sequence
+
+from ..datalog.ast import Atom, Program, Rule
+from ..datalog.builtins import has_builtins, is_builtin
 from ..datalog.database import Database
 from ..datalog.errors import TransformError
 from ..datalog.unify import skolemize
-from ..engine.evaluator import EngineOptions, evaluate
+from ..engine.evaluator import EngineOptions, evaluate_prepared
+from ..engine.prepared import prepare_size_free
 
 __all__ = [
+    "derives",
     "rule_deletable_uniform",
     "literal_deletable_uniform",
     "uniformly_contains",
@@ -40,31 +45,62 @@ __all__ = [
     "minimize_uniform",
 ]
 
-_OPTIONS = EngineOptions(max_iterations=10_000)
+#: Chase runs use size-free plans, so there is no cost model to replan
+#: from, and they never record provenance: the memoized rules of
+#: :func:`~repro.engine.prepared.prepare_size_free` keep the rule index
+#: of the first program that compiled them.
+_CHASE_OPTIONS = EngineOptions(max_iterations=10_000, use_cost_planner=False)
+assert not _CHASE_OPTIONS.record_provenance
+
+_NEGATION = "uniform-equivalence chase tests require negation-free programs"
 
 
-def _derives_frozen_head(program: Program, rule: Rule) -> bool:
-    """Does *program*, run on the frozen body of *rule*, derive the
-    frozen head?  The core of every test in this module."""
-    from ..datalog.builtins import has_builtins, is_builtin
+def derives(
+    program: Program, facts: Sequence[Atom], predicate: str, row: tuple
+) -> bool:
+    """Does *program*, run on the ground *facts* as its input database,
+    derive ``predicate(row)``?
 
-    if program.has_negation() or rule.negative:
-        raise TransformError(
-            "uniform-equivalence chase tests require negation-free programs"
-        )
-    if has_builtins(program) or any(is_builtin(a.predicate) for a in rule.body):
+    This is the one chase entry behind every frozen-body test (Sagiv's
+    and the uniform-query-equivalence chase of :mod:`repro.core.deletion`).
+    It does not validate *program*: each public test validates its input
+    once, and dropping rules from a valid positive program keeps it
+    valid.  Rules are planned once per process (size-free, memoized by
+    the rule), so testing many sub-programs ``P - {r}`` re-plans
+    nothing.
+    """
+    if program.has_negation():
+        raise TransformError(_NEGATION)
+    if has_builtins(program) or any(is_builtin(f.predicate) for f in facts):
         raise TransformError(
             "uniform-equivalence chase tests cannot evaluate comparison "
             "built-ins over frozen (skolem) constants"
         )
-    ground_head, ground_body, _ = skolemize(rule)
-    edb = Database.from_facts(ground_body)
-    # The head predicate may have no rules left in `program`; make sure
-    # its relation exists so the membership check is well-defined.
-    edb.ensure(ground_head.predicate, ground_head.arity)
-    result = evaluate(program.with_query(None), edb, _OPTIONS)
+    db = Database.from_facts(facts)
+    # The predicate may have no rules left in `program`; make sure its
+    # relation exists so the membership check is well-defined.
+    db.ensure(predicate, len(row))
+    result = evaluate_prepared(prepare_size_free(program), db, _CHASE_OPTIONS)
     # evaluation only adds facts, so the result holds every input fact
-    return ground_head.as_fact() in result.db.relation(ground_head.predicate)
+    return row in result.db.relation(predicate)
+
+
+def _derives_frozen_head(program: Program, rule: Rule) -> bool:
+    """Does *program*, run on the frozen body of *rule*, derive the
+    frozen head?"""
+    if rule.negative:  # freezing keeps only the positive body
+        raise TransformError(_NEGATION)
+    ground_head, ground_body, _ = skolemize(rule)
+    return derives(
+        program, ground_body, ground_head.predicate, ground_head.as_fact()
+    )
+
+
+def sagiv_deletable(program: Program, rule_index: int) -> bool:
+    """:func:`rule_deletable_uniform` without validating *program*, for
+    callers that validated it (or a program it is a sub-program of)."""
+    rule = program.rules[rule_index]
+    return _derives_frozen_head(program.without_rule(rule_index), rule)
 
 
 def rule_deletable_uniform(program: Program, rule_index: int) -> bool:
@@ -76,9 +112,7 @@ def rule_deletable_uniform(program: Program, rule_index: int) -> bool:
     ``a@nd(x) :- p(x, z), a@nd(z)`` is ``{p(x, z), a@nd(z)}``, and the
     exit rule re-derives ``a@nd(x)`` from ``p(x, z)``.
     """
-    rule = program.rules[rule_index]
-    rest = program.without_rule(rule_index)
-    return _derives_frozen_head(rest, rule)
+    return sagiv_deletable(program.validate(), rule_index)
 
 
 def literal_deletable_uniform(
@@ -92,6 +126,10 @@ def literal_deletable_uniform(
     rule: the original program, on the frozen body of the shortened
     rule, must derive the frozen head.
     """
+    return _literal_deletable(program.validate(), rule_index, body_index)
+
+
+def _literal_deletable(program: Program, rule_index: int, body_index: int) -> bool:
     rule = program.rules[rule_index]
     if not (0 <= body_index < len(rule.body)):
         raise TransformError(f"rule {rule_index} has no body literal {body_index}")
@@ -110,6 +148,8 @@ def uniformly_contains(p1: Program, p2: Program) -> bool:
     By Sagiv's characterization this holds iff *p1* derives the frozen
     head of every rule of *p2* from that rule's frozen body.
     """
+    p1.validate()
+    p2.validate()
     return all(_derives_frozen_head(p1, r) for r in p2.rules)
 
 
@@ -123,13 +163,15 @@ def minimize_uniform(program: Program, drop_literals: bool = True) -> Program:
     literals) while the program stays uniformly equivalent to itself.
 
     The result depends on deletion order (minimization is not unique);
-    rules are tried first, in index order, then literals.
+    rules are tried first, in index order, then literals.  Every step
+    keeps the program safe, so it is validated once, here.
     """
+    program.validate()
     changed = True
     while changed:
         changed = False
         for ri in range(len(program.rules)):
-            if rule_deletable_uniform(program, ri):
+            if sagiv_deletable(program, ri):
                 program = program.without_rule(ri)
                 changed = True
                 break
@@ -137,7 +179,7 @@ def minimize_uniform(program: Program, drop_literals: bool = True) -> Program:
             continue
         for ri, rule in enumerate(program.rules):
             for bi in range(len(rule.body)):
-                if literal_deletable_uniform(program, ri, bi):
+                if _literal_deletable(program, ri, bi):
                     shortened = Rule(
                         rule.head, rule.body[:bi] + rule.body[bi + 1 :]
                     )

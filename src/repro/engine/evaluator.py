@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
-from typing import Collection, Optional
+from typing import Callable, Collection, Optional
 
 from ..datalog.ast import Atom, Program
 from ..datalog.database import Database
@@ -44,7 +44,13 @@ from .provenance import DerivationTree, derivation_tree
 from .scheduler import run_monolithic, run_scheduled
 from .statistics import EvalStats
 
-__all__ = ["EngineOptions", "EvalResult", "evaluate", "answers_of"]
+__all__ = [
+    "EngineOptions",
+    "EvalResult",
+    "evaluate",
+    "evaluate_prepared",
+    "answers_of",
+]
 
 
 @dataclass(frozen=True)
@@ -345,9 +351,64 @@ def evaluate(
     and default plans never collide in the cache.  Join order never
     changes answers or fact counts — only work counters move.
     """
-    opts = options or EngineOptions()
     program.validate()
     db = edb.copy(mutating=program.idb_predicates())
+
+    def plan(db: Database, opts: EngineOptions) -> PreparedProgram:
+        # Rules compile against the input relation sizes: derived
+        # relations are empty (or nearly so) at this point but
+        # typically grow past the base relations, so the selectivity
+        # heuristic treats them as larger than any stored relation
+        # when breaking join-order ties.  The compiled artifacts
+        # (plans, analysis, stratification) come from the
+        # prepared-program cache: a hit skips planning and codegen
+        # entirely and is bit-identical to a fresh compile because the
+        # size profile is part of the cache key.
+        sizes = db.relation_sizes()
+        largest = max(sizes.values(), default=0)
+        for pred in program.idb_predicates():
+            sizes[pred] = max(sizes.get(pred, 0), largest + 1)
+        cost_model = None
+        if opts.use_cost_planner:
+            profiles = profile_database(db, sizes)
+            if analysis is not None:
+                # measured EDB profiles stay authoritative; the analyzer
+                # refines only the derived predicates it propagated
+                idb = program.idb_predicates()
+                for pred, profile in analysis.cost_profiles().items():
+                    if pred in idb:
+                        profiles[pred] = profile
+            cost_model = BoundCostModel(profiles)
+        return prepare(program, sizes, cost_model=cost_model)
+
+    return _fixpoint(program, db, options, plan)
+
+
+def evaluate_prepared(
+    prepared: PreparedProgram,
+    db: Database,
+    options: Optional[EngineOptions] = None,
+) -> EvalResult:
+    """The post-``prepare`` half of :func:`evaluate`: run *prepared* to
+    its fixpoint over *db*, with the same scheduler and governor.
+
+    Nothing is validated here: the caller vouches for
+    ``prepared.program`` (a sub-program of a validated positive program
+    stays valid).  *db* becomes the result database and is written in
+    place, so pass one the caller owns.
+    """
+    return _fixpoint(prepared.program, db, options, lambda db, opts: prepared)
+
+
+def _fixpoint(
+    program: Program,
+    db: Database,
+    options: Optional[EngineOptions],
+    plan: Callable[[Database, EngineOptions], PreparedProgram],
+) -> EvalResult:
+    """Set up the run, obtain the preparation from *plan* (after the
+    governor's clock starts), and run the fixpoint over *db*."""
+    opts = options or EngineOptions()
     builds_before = db.index_builds()
     stats = EvalStats()
     provenance: dict = {}
@@ -375,30 +436,7 @@ def evaluate(
     for pred in program.idb_predicates():
         db.ensure(pred, arities[pred])
 
-    # Rules compile against the input relation sizes: derived relations
-    # are empty (or nearly so) at this point but typically grow past
-    # the base relations, so the selectivity heuristic treats them as
-    # larger than any stored relation when breaking join-order ties.
-    # The compiled artifacts (plans, analysis, stratification) come
-    # from the prepared-program cache: a hit skips planning and codegen
-    # entirely and is bit-identical to a fresh compile because the size
-    # profile is part of the cache key.
-    sizes = db.relation_sizes()
-    largest = max(sizes.values(), default=0)
-    for pred in program.idb_predicates():
-        sizes[pred] = max(sizes.get(pred, 0), largest + 1)
-    cost_model = None
-    if opts.use_cost_planner:
-        profiles = profile_database(db, sizes)
-        if analysis is not None:
-            # measured EDB profiles stay authoritative; the analyzer
-            # refines only the derived predicates it propagated
-            idb = program.idb_predicates()
-            for pred, profile in analysis.cost_profiles().items():
-                if pred in idb:
-                    profiles[pred] = profile
-        cost_model = BoundCostModel(profiles)
-    prepared = prepare(program, sizes, cost_model=cost_model)
+    prepared = plan(db, opts)
     # recorded on the preparation, not the call, so a prepared-cache
     # hit reports exactly the counters of the cold build it reuses
     stats.plans_costed += prepared.plans_costed

@@ -34,6 +34,21 @@ Compiled kernels need no second cache here: they are memoized on each
 (:mod:`repro.engine.kernel`), so sharing the compiled rules across
 evaluations shares their kernels too — a prepared-cache hit skips
 parse-product analysis, planning *and* codegen.
+
+**Size-free rules for frozen-body chase tests.**  The deletion tests
+of :mod:`repro.core.uniform_equivalence` evaluate ``P - {r}`` for
+every candidate ``r`` over a canonical database of a few frozen facts.
+Each of those programs is new, and a size- or cost-keyed preparation
+would miss on every call and re-plan every rule.  Over a frozen body
+every relation holds a handful of rows, so size-aware join orders buy
+nothing there.  :func:`prepare_size_free` therefore assembles a
+preparation from rules compiled with *no* size profile and *no* cost
+model, memoized in a second bounded LRU keyed by the :class:`Rule`
+alone.  A deletion pass then plans each distinct rule once, however
+many sub-programs contain it.  The memoized rules carry the program
+index of their first compilation; that index is read only by
+provenance, so size-free preparations must never be evaluated with
+``record_provenance``.
 """
 
 from __future__ import annotations
@@ -41,10 +56,10 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 from ..datalog.analysis import DependencyInfo, analyze, stratify
-from ..datalog.ast import Program
+from ..datalog.ast import Program, Rule
 from ..datalog.errors import ValidationError
 from .cost import CostModel, bucket_size
 from .plan import CompiledRule, compile_rule
@@ -52,6 +67,7 @@ from .plan import CompiledRule, compile_rule
 __all__ = [
     "PreparedProgram",
     "prepare",
+    "prepare_size_free",
     "prepared_cache_stats",
     "clear_prepared_cache",
 ]
@@ -121,23 +137,30 @@ _CACHE_MAX = 256
 _HITS = 0
 _MISSES = 0
 
+#: size-free compiled rules, keyed by the rule alone (guarded by
+#: ``_CACHE_LOCK``).  A round of perfbench's compile-mix (28 programs)
+#: plans about 300 distinct rules, so the cap holds several rounds.
+_RULES: "OrderedDict[Rule, CompiledRule]" = OrderedDict()
+_RULES_MAX = 2048
+_RULE_HITS = 0
+_RULE_MISSES = 0
+
 
 def _build(
     program: Program,
-    sizes: Optional[Mapping[str, int]],
     key: tuple,
+    compile_one: Callable[[Rule, int], CompiledRule],
     cost_model: Optional[CostModel] = None,
 ) -> PreparedProgram:
     fact_rules: list[tuple[str, tuple]] = []
     compiled: list[CompiledRule] = []
-    rep_sizes = bucketed_sizes(sizes)
     for i, r in enumerate(program.rules):
         if not r.body:
             if not r.head.is_ground():
                 raise ValidationError(f"unsafe fact rule: {r}")
             fact_rules.append((r.head.predicate, r.head.as_fact()))
             continue
-        compiled.append(compile_rule(r, i, sizes=rep_sizes, cost_model=cost_model))
+        compiled.append(compile_one(r, i))
     info = analyze(program)
     if program.has_negation():
         layers = stratify(program, info)
@@ -192,7 +215,13 @@ def prepare(
                 _CACHE.move_to_end(key)
                 _HITS += 1
                 return cached
-    prepared = _build(program, sizes, key, cost_model=cost_model)
+    rep_sizes = bucketed_sizes(sizes)
+    prepared = _build(
+        program,
+        key,
+        lambda r, i: compile_rule(r, i, sizes=rep_sizes, cost_model=cost_model),
+        cost_model,
+    )
     if use_cache:
         with _CACHE_LOCK:
             if key in _CACHE:
@@ -207,16 +236,65 @@ def prepare(
     return prepared
 
 
-def prepared_cache_stats() -> dict:
-    """Cache occupancy and hit/miss counters (for tests and benches)."""
+def _size_free_rule(rule: Rule, rule_index: int) -> CompiledRule:
+    """*rule* compiled with no size profile and no cost model, from the
+    rule memo.  A hit returns the rule as first compiled, with that
+    compilation's *rule_index*."""
+    global _RULE_HITS, _RULE_MISSES
     with _CACHE_LOCK:
-        return {"entries": len(_CACHE), "hits": _HITS, "misses": _MISSES}
+        cached = _RULES.get(rule)
+        if cached is not None:
+            _RULES.move_to_end(rule)
+            _RULE_HITS += 1
+            return cached
+    compiled = compile_rule(rule, rule_index)
+    with _CACHE_LOCK:
+        if rule in _RULES:
+            # a concurrent compile won the race; share its kernels
+            _RULE_HITS += 1
+            return _RULES[rule]
+        _RULE_MISSES += 1
+        _RULES[rule] = compiled
+        while len(_RULES) > _RULES_MAX:
+            _RULES.popitem(last=False)
+    return compiled
+
+
+def prepare_size_free(program: Program) -> PreparedProgram:
+    """A preparation of *program* from size-free memoized rules.
+
+    Only analysis and stratification run per call; every rule some
+    earlier call compiled is reused as is.  The result is not cached
+    (its ``key`` is ``()``).  It is meant for evaluations over tiny
+    canonical databases, such as frozen rule bodies, where join order
+    barely matters and the program changes from call to call.  It must
+    not be evaluated with ``record_provenance``, because the memoized
+    rules keep the rule index of their first program.
+    """
+    return _build(program, (), _size_free_rule)
+
+
+def prepared_cache_stats() -> dict:
+    """Cache occupancy and hit/miss counters (for tests and benches):
+    ``entries``/``hits``/``misses`` for whole preparations and
+    ``rule_entries``/``rule_hits``/``rule_misses`` for the size-free
+    rule memo."""
+    with _CACHE_LOCK:
+        return {
+            "entries": len(_CACHE),
+            "hits": _HITS,
+            "misses": _MISSES,
+            "rule_entries": len(_RULES),
+            "rule_hits": _RULE_HITS,
+            "rule_misses": _RULE_MISSES,
+        }
 
 
 def clear_prepared_cache() -> None:
-    """Drop every cached preparation and reset the counters."""
-    global _HITS, _MISSES
+    """Drop every cached preparation and memoized rule, and reset the
+    counters."""
+    global _HITS, _MISSES, _RULE_HITS, _RULE_MISSES
     with _CACHE_LOCK:
         _CACHE.clear()
-        _HITS = 0
-        _MISSES = 0
+        _RULES.clear()
+        _HITS = _MISSES = _RULE_HITS = _RULE_MISSES = 0

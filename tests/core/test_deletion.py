@@ -246,13 +246,13 @@ class TestSagivMemo:
         import repro.core.deletion as deletion
 
         seen = []
-        real = deletion.rule_deletable_uniform
+        real = deletion.sagiv_deletable
 
         def spy(plain, ri):
             seen.append(plain.rules[ri])
             return real(plain, ri)
 
-        monkeypatch.setattr(deletion, "rule_deletable_uniform", spy)
+        monkeypatch.setattr(deletion, "sagiv_deletable", spy)
         program = make()
         report = delete_rules(program)
         assert seen and len(seen) == len(set(seen))
